@@ -3,12 +3,13 @@
 
 Measures the throughput of every pipeline stage the paper's 30 fps / 4K
 budget depends on — jigsaw encode, fountain encode/decode, SSIM scoring,
-and full emulation runs — for both the original (seed) implementations and
-the optimized batched/incremental/parallel ones, and writes the results to
+and full emulation runs — for both the original (seed) implementations,
+kept as the ``tests/reference`` oracle, and the production
+batched/incremental/parallel ones, and writes the results to
 ``BENCH_PERF.json`` at the repository root.  Subsequent PRs diff against
 that file to defend the performance trajectory.
 
-The seed and optimized paths are bit-compatible: the harness asserts that
+The seed and production paths are bit-compatible: the harness asserts that
 emulation metrics and decoded frame bytes are identical across them before
 reporting any speedup.
 
@@ -35,6 +36,9 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+# The seed arms come from the test oracle (tests/reference).
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np
 
@@ -53,7 +57,6 @@ from repro.fountain.block import (
 from repro.fountain.raptor import COEFFICIENT_CACHE, FountainDecoder, FountainEncoder
 from repro.perf import (
     effective_jobs,
-    perf_mode,
     speedup,
     throughput,
     time_call,
@@ -65,6 +68,8 @@ from repro.types import Richness
 from repro.video.jigsaw import JigsawCodec, LayerStructure
 from repro.video.metrics import ssim
 from repro.video.synthetic import SyntheticVideo
+
+from tests.reference import SeedFountainDecoder, seed_path
 
 
 # ------------------------------------------------------------------- stages
@@ -101,7 +106,7 @@ def bench_fountain_encode(structure: LayerStructure, repair_symbols: int) -> dic
         0, 256, size=structure.sublayer_nbytes, dtype=np.uint8
     ).tobytes()
 
-    with perf_mode("seed"):
+    with seed_path():
         encoder = FountainEncoder(1_000_001, data, symbol_size)
         k = encoder.num_source_symbols
         _, seed_s = time_call(lambda: encoder.symbols(k, repair_symbols))
@@ -146,18 +151,19 @@ def bench_fountain_decode(structure: LayerStructure, blocks: int) -> dict:
     keep += encoder.symbols(k, lost + 2)
     symbols_per_block = len(keep)
 
-    def run_decoders() -> int:
+    def run_decoders(decoder_cls) -> int:
         decoded = 0
         for _ in range(blocks):
-            decoder = FountainDecoder(2_000_002, len(data), symbol_size)
+            decoder = decoder_cls(2_000_002, len(data), symbol_size)
             for symbol in keep:
                 decoder.add_symbol(symbol)
             decoded += decoder.is_decoded
         return decoded
 
-    with perf_mode("seed"):
-        seed_decoded, seed_s = time_call(run_decoders)
-    incremental_decoded, incremental_s = time_call(run_decoders)
+    seed_decoded, seed_s = time_call(lambda: run_decoders(SeedFountainDecoder))
+    incremental_decoded, incremental_s = time_call(
+        lambda: run_decoders(FountainDecoder)
+    )
     assert seed_decoded == incremental_decoded == blocks
 
     total_symbols = blocks * symbols_per_block
@@ -226,7 +232,7 @@ def check_decoded_frames_identical(structure: LayerStructure) -> bool:
         blob += b"".join(np.asarray(m).tobytes() for m in masks)
         return blob
 
-    with perf_mode("seed"):
+    with seed_path():
         seed_blob = transmit_and_assemble()
     return transmit_and_assemble() == seed_blob
 
@@ -238,12 +244,12 @@ def _context(quick: bool):
 
 
 def bench_emulation(quick: bool, runs: int, frames: int, users: int, jobs: int) -> dict:
-    """Wall-clock of a scheduler comparison: serial seed path vs optimized
+    """Wall-clock of a scheduler comparison: serial seed oracle vs production
     batched codec fanned over ``jobs`` workers.  Metrics must be identical."""
     ctx = _context(quick)
     placement = ("arc", 5.0, 60)
 
-    with perf_mode("seed"):
+    with seed_path():
         seed_results, seed_s = time_call(
             lambda: run_scheduler_comparison(
                 ctx, users, placement, runs=runs, frames=frames, jobs=1

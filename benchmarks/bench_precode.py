@@ -3,8 +3,9 @@
 Measures the RaptorQ-style precode against the dense batched path on the
 same coding-unit shape as the ``fountain_encode`` stage, and sweeps decode
 elimination effort over a K ladder to certify the inactivation decoder's
-sub-cubic scaling (full Gaussian elimination on the instrumented seed path
-is the control).  The two headline outputs feed ``perf_gate``:
+sub-cubic scaling (full Gaussian elimination on the instrumented seed
+decoder of the ``tests/reference`` oracle is the control).  The two
+headline outputs feed ``perf_gate``:
 
 * ``encode_msymbols_per_s`` — a gated throughput metric, and
 * ``decode_subcubic`` — a REQUIRED_FLAG boolean (growth-exponent fit of
@@ -14,14 +15,26 @@ is the control).  The two headline outputs feed ``perf_gate``:
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+# The dense control's seed decoder comes from the test oracle.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
 import numpy as np
 
 from repro.fountain.block import symbol_size_for
 from repro.fountain.precode import Precode, PrecodeDecoder, PrecodeEncoder
-from repro.fountain.raptor import FountainDecoder, FountainEncoder
+from repro.fountain.raptor import FountainEncoder
 from repro.obs import observed
-from repro.perf import perf_mode, throughput, time_call, time_call_best
+from repro.perf import throughput, time_call, time_call_best
 from repro.video.jigsaw import LayerStructure
+
+from tests.reference import SeedFountainDecoder, seed_path
 
 #: Decode-cost sweep ladder (K values) and per-decode symbol overhead.
 SCALING_KS = (32, 64, 128, 256)
@@ -62,10 +75,10 @@ def _precode_decode_ops(k: int) -> int:
 def _dense_decode_ops(k: int) -> int:
     """Control: gf_solve element-ops for one seed-path dense decode."""
     data = _payload(k, k * SCALING_SYMBOL_BYTES)
-    with perf_mode("seed"):
+    with seed_path():
         with observed("counters") as registry:
             encoder = FountainEncoder(0, data, SCALING_SYMBOL_BYTES)
-            decoder = FountainDecoder(0, len(data), SCALING_SYMBOL_BYTES)
+            decoder = SeedFountainDecoder(0, len(data), SCALING_SYMBOL_BYTES)
             for symbol in encoder.symbols(k, k + SCALING_OVERHEAD):
                 decoder.add_symbol(symbol)
             assert decoder.decode() == data

@@ -2,9 +2,9 @@
 """User-count scaling benchmark for the vectorized cohort transport core.
 
 Sweeps full emulation runs from a handful of receivers up to 1,000+ and
-reports the users-vs-runs/s curve of the optimized (cohort) path, plus a
-seed-vs-optimized comparison at a pivot user count that defends the
-tentpole speedup.  Both paths are bit-compatible; the harness asserts the
+reports the users-vs-runs/s curve of the cohort path, plus a comparison
+with the per-receiver seed oracle (``tests/reference``) at a pivot user
+count that defends the cohort's speedup.  Both are bit-compatible; the harness asserts the
 per-(frame, user) outcome statistics are identical before reporting any
 speedup.
 
@@ -30,16 +30,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+# The seed arm comes from the test oracle (tests/reference).
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core import MulticastStreamer
 from repro.emulation import ExperimentContext, build_context, trace_for_placement
-from repro.perf import perf_mode, throughput, time_call, write_bench_report
+from repro.perf import throughput, time_call, write_bench_report
 from repro.types import BeamformingScheme, SchedulerKind
+
+from tests.reference import seed_path
 
 #: Config overrides shared by every scale point (see module docstring).
 SCALE_OVERRIDES = dict(
@@ -74,7 +80,7 @@ def scale_run(
     ctx: ExperimentContext,
     num_users: int,
     frames: int,
-    mode: str = "optimized",
+    seed_arm: bool = False,
     run_seed: int = 0,
 ):
     """One timed emulation run at ``num_users`` receivers.
@@ -91,7 +97,7 @@ def scale_run(
     streamer = MulticastStreamer(
         config, ctx.dnn, ctx.probes, ctx.scenario.channel_model, seed=run_seed
     )
-    with perf_mode(mode):
+    with seed_path() if seed_arm else nullcontext():
         outcome, run_s = time_call(lambda: streamer.session(trace).run(frames))
     return run_s, setup_s, outcome
 
@@ -105,7 +111,7 @@ def bench_emulation_scale(
 ) -> dict:
     """The ``emulation_scale`` benchmark stage.
 
-    Sweeps the optimized path over ``user_counts``, times the seed path at
+    Sweeps the cohort path over ``user_counts``, times the seed oracle at
     ``pivot_users`` for the headline speedup, and checks outcome
     bit-identity across the paths at ``identity_users``.
     """
@@ -127,11 +133,11 @@ def bench_emulation_scale(
 
     if pivot_optimized_s is None:
         pivot_optimized_s, _, _ = scale_run(ctx, pivot_users, frames)
-    seed_pivot_s, _, _ = scale_run(ctx, pivot_users, frames, mode="seed")
-    print(f"    seed path at {pivot_users} users: {seed_pivot_s:.2f} s/run "
+    seed_pivot_s, _, _ = scale_run(ctx, pivot_users, frames, seed_arm=True)
+    print(f"    seed oracle at {pivot_users} users: {seed_pivot_s:.2f} s/run "
           f"(x{seed_pivot_s / pivot_optimized_s:.1f} speedup)", flush=True)
 
-    _, _, seed_outcome = scale_run(ctx, identity_users, frames, mode="seed")
+    _, _, seed_outcome = scale_run(ctx, identity_users, frames, seed_arm=True)
     _, _, opt_outcome = scale_run(ctx, identity_users, frames)
     identical = _outcome_digest(seed_outcome) == _outcome_digest(opt_outcome)
 

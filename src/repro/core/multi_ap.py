@@ -15,13 +15,14 @@ batched gain path (:meth:`GroupBeamPlanner.plan_groups`).
 ``MultiApCodingGroupMapper`` — maps each AP's allocation onto coding
 units independently (Problem 4 per AP).
 
-``MultiApTransmitter`` — runs one per-user transmitter pass per AP (APs
-transmit concurrently on separated beams, so frame airtime is the *max*
-over APs, not the sum), then spends each secondary AP's leftover deadline
-on **cross-AP coded repair**: fresh fountain symbols for its backup
-users' still-undecoded scheduled units, drawn from the same per-unit
-symbol streams, so the rateless decoder combines symbols from both APs
-exactly as arXiv:1711.06154's network-coded multi-link streaming
+``MultiApTransmitter`` — runs one transmitter pass per AP into one shared
+frame cohort (APs transmit concurrently on separated beams, so frame
+airtime is the *max* over APs, not the sum), then spends each secondary
+AP's leftover deadline on **cross-AP coded repair**: fresh fountain
+symbols for its backup users' still-undecoded scheduled units, drawn from
+the same per-unit symbol streams and recorded as further delivery events
+in the users' cohort rows, so the rateless decoder combines symbols from
+both APs exactly as arXiv:1711.06154's network-coded multi-link streaming
 predicts.  Per-AP blockage (``FaultEvent.ap``) attenuates only the
 tagged AP's links, which is what turns a blocked LoS into a handover
 plus repair — failover as an emergent scenario.
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..beamforming import BeamPlan
 from ..errors import ConfigurationError
 from ..fountain.block import CodingUnitId, FrameBlockEncoder as BlockEncoder
@@ -41,11 +44,11 @@ from ..obs import OBS
 from ..scheduling import AllocationResult, assign_coding_groups
 from ..scheduling.groups import CandidateGroup
 from ..transport.association import ApAssociationPolicy
+from ..transport.cohort import CohortUserReception, FrameCohort
 from ..transport.transmitter import (
     GROUP_SWITCH_OVERHEAD_S,
     HEADER_BYTES,
     TransmissionResult,
-    UserReception,
 )
 from .pipeline import (
     FrameContext,
@@ -217,13 +220,14 @@ class MultiApCodingGroupMapper:
 
 
 class MultiApTransmitter:
-    """One per-user transmitter pass per AP, then cross-AP coded repair.
+    """One transmitter pass per AP, then cross-AP coded repair.
 
     APs run on separated boresights/beams, so their passes are concurrent:
     the frame's airtime is the maximum per-AP clock.  Each pass reuses the
     single-AP :class:`FrameTransmitter` verbatim over that AP's channel
-    view and AP-scoped fault view, forced onto the per-user reception path
-    (``allow_cohort=False``) because repair mutates individual decoders.
+    view and AP-scoped fault view, recording into one frame cohort over
+    every user; each user is served by exactly one AP, so the passes write
+    disjoint rows.
     """
 
     name = "transmit"
@@ -244,7 +248,8 @@ class MultiApTransmitter:
         ctx.true_state = true_state
         budget_s = config.frame_budget_s
 
-        receptions: Dict[int, UserReception] = {}
+        cohort = FrameCohort(ctx.users, ctx.encoder)
+        receptions: Dict[int, CohortUserReception] = {}
         ap_airtime = [0.0] * n_aps
         packets_sent = 0
         packets_dropped = 0
@@ -256,9 +261,7 @@ class MultiApTransmitter:
             users_ap = ctx.ap_users[ap]
             if allocation is None or assignments is None or not users_ap:
                 continue
-            limits = streamer._rate_limits(
-                allocation, session.state.bw_estimators
-            )
+            limits = streamer._rate_limits(allocation, session.cohort_bw)
             rate_limits.update(limits)
             faults_ap = (
                 session.faults.for_ap(ap) if session.faults is not None else None
@@ -273,11 +276,9 @@ class MultiApTransmitter:
                 rate_limits_bytes_per_s=limits,
                 active_users=users_ap,
                 faults=faults_ap,
-                allow_cohort=False,
+                cohort=cohort,
             )
-            for user in users_ap:
-                if user in result.receptions:
-                    receptions[user] = result.receptions[user]
+            receptions.update(result.receptions)
             ap_airtime[ap] = result.airtime_s
             packets_sent += result.packets_sent
             packets_dropped += result.packets_dropped_at_queue
@@ -285,7 +286,7 @@ class MultiApTransmitter:
         ctx.rate_limits = rate_limits
 
         repaired = self._cross_ap_repair(
-            ctx, session, receptions, true_state, ap_airtime, budget_s
+            ctx, session, cohort, receptions, true_state, ap_airtime, budget_s
         )
         packets_sent += repaired
 
@@ -296,7 +297,7 @@ class MultiApTransmitter:
             packets_sent=packets_sent,
             packets_dropped_at_queue=packets_dropped,
             feedback_rounds_used=rounds,
-            cohort=None,
+            cohort=cohort,
         )
         ctx.deadline_met = airtime <= budget_s + 1e-9
 
@@ -304,19 +305,23 @@ class MultiApTransmitter:
         self,
         ctx: FrameContext,
         session: "StreamSession",
-        receptions: Dict[int, UserReception],
+        cohort: FrameCohort,
+        receptions: Dict[int, CohortUserReception],
         true_state: "ChannelState",
         ap_airtime: List[float],
         budget_s: float,
     ) -> int:
         """Secondary APs top up their backup users' undecoded units.
 
-        For every user with a viable repair plan, its secondary AP walks
-        the units the user's *primary* AP scheduled this frame, computes
-        the fountain deficit ``K - received``, and paces that many fresh
-        symbols into the user's decoder until the AP's leftover deadline
-        runs out.  Returns the number of repair packets put on the air;
-        per-AP clocks in ``ap_airtime`` are advanced in place.
+        For every served user with a viable repair plan, its secondary AP
+        walks the units the user's *primary* AP scheduled this frame,
+        computes the fountain deficit ``K - distinct received``, and paces
+        that many fresh symbols to the user until the AP's leftover
+        deadline runs out.  The clock walk draws no randomness, so each
+        unit's sent symbols take one ``rng.random(n)`` delivery draw (the
+        same stream as ``n`` scalar draws) and one cohort record.  Returns
+        the number of repair packets put on the air; per-AP clocks in
+        ``ap_airtime`` are advanced in place.
         """
         assert ctx.encoder is not None and ctx.repair_plans is not None
         if not ctx.repair_plans:
@@ -330,8 +335,7 @@ class MultiApTransmitter:
         sent = 0
         for user in sorted(ctx.repair_plans):
             ap, plan = ctx.repair_plans[user]
-            reception = receptions.get(user)
-            if reception is None or plan.mcs is None:
+            if user not in receptions or plan.mcs is None:
                 continue
             units = self._scheduled_units(ctx, serving.get(user), encoder)
             if not units:
@@ -356,25 +360,28 @@ class MultiApTransmitter:
                 index=0, plan=plan, rate_scale=config.rate_scale
             ).rate_bytes_per_s
             symbol_airtime = packet_bytes / max(rate, 1e-6)
+            rows = np.array([cohort.index[user]], dtype=np.intp)
             clock = GROUP_SWITCH_OVERHEAD_S
             for unit in units:
-                decoder = reception.decoder.unit_decoder(unit)
-                deficit = k - decoder.received_count
+                deficit = k - cohort.min_distinct(unit, rows)
                 if deficit <= 0:
                     continue
-                for symbol in encoder.next_symbols(unit, deficit):
+                symbols = encoder.next_symbols(unit, deficit)
+                n = 0
+                for _ in symbols:
                     if clock + symbol_airtime > remaining:
                         break
                     clock += symbol_airtime
-                    sent += 1
-                    if streamer.rng.random() < prob:
-                        reception.decoder.ingest(symbol)
-                        reception.packets_received += 1
-                        reception.delivered_payload_bytes += len(symbol.payload)
-                        if OBS.mode:
-                            OBS.count("core.multi_ap.repair.delivered")
-                    else:
-                        reception.packets_lost += 1
+                    n += 1
+                if n:
+                    delivered = streamer.rng.random(n) < prob
+                    cohort.record(unit, symbols[:n], rows, delivered[:, None])
+                    sent += n
+                    if OBS.mode:
+                        OBS.count(
+                            "core.multi_ap.repair.delivered",
+                            int(delivered.sum()),
+                        )
                 if clock + symbol_airtime > remaining:
                     break
             if clock > GROUP_SWITCH_OVERHEAD_S:

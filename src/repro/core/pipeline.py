@@ -27,15 +27,10 @@ from ..errors import ConfigurationError
 from ..faults import FaultController
 from ..fountain.block import FrameBlockEncoder
 from ..obs import OBS
-from ..perf.mode import seed_path_active
 from ..quality.curves import FrameFeatureContext
 from ..scheduling import AllocationResult, assign_coding_groups
-from ..transport import (
-    BandwidthEstimator,
-    BandwidthTracker,
-    CohortBandwidthEstimator,
-)
-from ..types import FrameStats, OutcomeStats
+from ..transport import BandwidthTracker, CohortBandwidthEstimator
+from ..types import OutcomeStats
 from ..video.jigsaw import SUBLAYER_COUNTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -235,9 +230,7 @@ class Transmitter:
         assert allocation is not None and ctx.encoder is not None
         assert ctx.assignments is not None
         ctx.true_state = session.trace.at_time(ctx.now).true_state
-        ctx.rate_limits = streamer._rate_limits(
-            allocation, session.state.bw_estimators
-        )
+        ctx.rate_limits = streamer._rate_limits(allocation, session.cohort_bw)
         fault_kwargs = (
             {"active_users": ctx.users, "faults": session.faults}
             if session.faults is not None
@@ -271,51 +264,17 @@ class FeedbackUpdater:
     name = "feedback"
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
-        assert ctx.result is not None
-        cohort = ctx.result.cohort
-        if cohort is not None and session.cohort_bw is not None:
-            self._run_cohort(ctx, session, cohort)
-            return
-        faults = session.faults
-        for user in ctx.users:
-            if faults is not None:
-                if faults.feedback_lost(user):
-                    staleness = session.state.feedback_staleness
-                    staleness[user] = staleness.get(user, 0) + 1
-                    session.state.bw_estimators[user].decay(
-                        session.config.faults.stale_decay
-                    )
-                    OBS.count("fault.feedback_loss.reports_lost")
-                    OBS.set_gauge(
-                        f"fault.feedback_loss.user.{user}.staleness",
-                        staleness[user],
-                    )
-                    continue
-                if session.state.feedback_staleness.pop(user, None):
-                    OBS.count("fault.feedback_loss.recoveries")
-            reception = ctx.result.receptions[user]
-            total = reception.packets_received + reception.packets_lost
-            fraction = (
-                reception.packets_received / total if total else 1.0
-            )
-            session.state.bw_estimators[user].observe_fraction(
-                float(np.clip(fraction, 0.0, 1.0)), session.streamer.rng
-            )
-
-    @staticmethod
-    def _run_cohort(
-        ctx: FrameContext, session: "StreamSession", cohort
-    ) -> None:
         """Masked cohort feedback: one batched noise draw, array EWMA.
 
         Receivers inside a feedback outage decay as one masked operation;
         everyone else folds their delivery fraction in through a single
-        ``observe_fraction_rows`` call whose noise draws land in the same
-        rng-stream order as the per-user loop.
+        ``observe_fraction_rows`` call, one noise draw per reporting
+        receiver in membership order.
         """
+        assert ctx.result is not None
+        cohort = ctx.result.cohort
         faults = session.faults
         estimator = session.cohort_bw
-        assert estimator is not None
         staleness = session.state.feedback_staleness
         if faults is not None:
             reporting = []
@@ -324,9 +283,16 @@ class FeedbackUpdater:
                 if faults.feedback_lost(user):
                     silent.append(user)
                     staleness[user] = staleness.get(user, 0) + 1
+                    if OBS.mode:
+                        OBS.count("fault.feedback_loss.reports_lost")
+                        OBS.set_gauge(
+                            f"fault.feedback_loss.user.{user}.staleness",
+                            staleness[user],
+                        )
                 else:
                     reporting.append(user)
-                    staleness.pop(user, None)
+                    if staleness.pop(user, None):
+                        OBS.count("fault.feedback_loss.recoveries")
             if silent:
                 estimator.decay_rows(
                     estimator.rows(silent), session.config.faults.stale_decay
@@ -352,35 +318,11 @@ class Scorer:
     name = "score"
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
-        assert ctx.result is not None
-        cohort = ctx.result.cohort
-        if cohort is not None:
-            self._run_cohort(ctx, session, cohort)
-            return
-        for user in ctx.users:
-            reception = ctx.result.receptions[user]
-            masks = reception.decoder.sublayer_masks()
-            quality, quality_db = ctx.probe.measure_masks(masks)
-            session.outcome.stats.append(
-                FrameStats(
-                    frame_index=ctx.frame_index,
-                    user_id=user,
-                    ssim=quality,
-                    psnr_db=quality_db,
-                    bytes_received_per_layer=tuple(
-                        reception.decoder.bytes_received_per_layer()
-                    ),
-                    deadline_met=ctx.deadline_met,
-                )
-            )
-
-    @staticmethod
-    def _run_cohort(
-        ctx: FrameContext, session: "StreamSession", cohort
-    ) -> None:
         """Score from cohort arrays: quality is measured once per distinct
         decode pattern and broadcast to every receiver sharing it, and the
         frame's stats land as one columnar block."""
+        assert ctx.result is not None
+        cohort = ctx.result.cohort
         rows = cohort.member_rows(ctx.users)
         matrices = cohort.decoded_matrices()
         signatures = np.concatenate(
@@ -451,18 +393,12 @@ class StreamSession:
         self.config: "SystemConfig" = streamer.config
         self.trace = trace
         self.users: List[int] = trace.user_ids()
-        self.cohort_bw: Optional[CohortBandwidthEstimator]
-        if seed_path_active():
-            self.cohort_bw = None
-            bw_estimators: Dict[int, BandwidthTracker] = {
-                u: BandwidthEstimator() for u in self.users
-            }
-        else:
-            # Optimized mode: one array-backed estimator for the whole
-            # cohort; per-user access (joins/resets, strategies) goes
-            # through scalar views over the same rows.
-            self.cohort_bw = CohortBandwidthEstimator(self.users)
-            bw_estimators = {u: self.cohort_bw.view(u) for u in self.users}
+        # One array-backed estimator for the whole session; per-user access
+        # (joins/resets, strategies) goes through scalar views over its rows.
+        self.cohort_bw = CohortBandwidthEstimator(self.users)
+        bw_estimators: Dict[int, BandwidthTracker] = {
+            u: self.cohort_bw.view(u) for u in self.users
+        }
         self.state = SessionState(bw_estimators=bw_estimators)
         self.strategy = (
             strategy if strategy is not None else strategy_for(streamer.config)

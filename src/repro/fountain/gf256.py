@@ -14,7 +14,7 @@ kernels: one fancy-indexed gather per source column replaces the
 log-add-antilog round trip, which is what makes batched encoding fast.
 
 The ``*_reference`` functions preserve the original (pre-optimization)
-mask-based implementations; the seed-path benchmarks time against them so
+mask-based implementations; the seed-oracle benchmarks time against them so
 speedup numbers in ``BENCH_PERF.json`` compare like with like.
 """
 

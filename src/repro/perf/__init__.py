@@ -1,13 +1,13 @@
-"""Performance layer: parallel execution, perf-mode switch, bench timing.
+"""Performance layer: parallel execution and bench timing.
 
 ``repro.perf`` concentrates everything that makes the reproduction fast
-without changing results:
+without changing results.  There is no runtime switch between
+implementations: each behaviour has one production path, and the original
+(seed) implementations that tests and benchmarks compare against live in
+the ``tests/reference`` oracle.
 
 * :mod:`repro.perf.parallel` — the ``REPRO_JOBS`` process-pool engine the
   emulation runners fan out on (deterministic at any job count).
-* :mod:`repro.perf.mode` — the seed-path/optimized-path switch used by the
-  benchmark harness to time the original implementations against the
-  batched ones inside one process.
 * :mod:`repro.perf.timing` — stopwatch/throughput helpers plus the
   ``BENCH_PERF.json`` report writer.
 * :mod:`repro.perf.workers` — the persistent worker pool + shared-memory
@@ -19,14 +19,6 @@ without changing results:
   from the fountain layer).
 """
 
-from .mode import (
-    OPTIMIZED_MODE,
-    SEED_MODE,
-    get_perf_mode,
-    perf_mode,
-    seed_path_active,
-    set_perf_mode,
-)
 from .parallel import (
     JOBS_ENV_VAR,
     POOL_BREAK_EVEN_S,
@@ -52,12 +44,6 @@ from .timing import (
 )
 
 __all__ = [
-    "OPTIMIZED_MODE",
-    "SEED_MODE",
-    "get_perf_mode",
-    "perf_mode",
-    "seed_path_active",
-    "set_perf_mode",
     "JOBS_ENV_VAR",
     "effective_jobs",
     "POOL_BREAK_EVEN_S",

@@ -23,145 +23,39 @@ MEASUREMENT_WINDOW_PACKETS = 100
 
 
 class BandwidthTracker(Protocol):
-    """Per-receiver bandwidth-feedback interface.
+    """One receiver's bandwidth-feedback state, as session state holds it.
 
-    Implemented by the standalone :class:`BandwidthEstimator` (seed path)
-    and by :class:`_CohortBandwidthView`, the scalar adapter over one
-    :class:`CohortBandwidthEstimator` row (optimized path); session state
-    holds either interchangeably.
+    Implemented by :class:`_CohortBandwidthView`, the scalar adapter over
+    one :class:`CohortBandwidthEstimator` row; the pipeline's feedback
+    stage updates the whole cohort at once through the estimator itself.
     """
 
     @property
     def estimate_bytes_per_s(self) -> Optional[float]: ...
 
-    def observe_window(
-        self, delivered_bytes: float, window_s: float, rng: np.random.Generator
-    ) -> float: ...
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float: ...
-
-    def decay(self, factor: float) -> Optional[float]: ...
-
     def reset(self) -> None: ...
-
-
-class BandwidthEstimator:
-    """Arrival-spacing bandwidth estimator with exponential smoothing.
-
-    Args:
-        smoothing: EWMA factor applied across frames (1.0 = use only the
-            newest measurement).
-        noise_std_fraction: Relative measurement noise; real arrival
-            timestamps jitter with interrupt coalescing etc.
-    """
-
-    def __init__(self, smoothing: float = 0.6, noise_std_fraction: float = 0.05):
-        if not 0.0 < smoothing <= 1.0:
-            raise TransportError(f"smoothing must be in (0, 1], got {smoothing}")
-        self.smoothing = float(smoothing)
-        self.noise_std_fraction = float(noise_std_fraction)
-        self._estimate_bytes_per_s: Optional[float] = None
-
-    @property
-    def estimate_bytes_per_s(self) -> Optional[float]:
-        """Current smoothed estimate, or None before the first measurement."""
-        return self._estimate_bytes_per_s
-
-    def observe_window(
-        self,
-        delivered_bytes: float,
-        window_s: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Fold one measurement window into the estimate.
-
-        Args:
-            delivered_bytes: Payload bytes that actually arrived in the
-                window (losses reduce the measured bandwidth, exactly as they
-                stretch real arrival gaps).
-            window_s: Duration of the window.
-            rng: Measurement-noise source.
-
-        Returns:
-            The updated estimate in bytes/s.
-        """
-        if window_s <= 0:
-            raise TransportError(f"window must be positive, got {window_s}")
-        measured = max(0.0, delivered_bytes / window_s)
-        measured *= float(1.0 + rng.normal(0.0, self.noise_std_fraction))
-        measured = max(measured, 1e-9)
-        if self._estimate_bytes_per_s is None:
-            self._estimate_bytes_per_s = measured
-        else:
-            self._estimate_bytes_per_s = (
-                self.smoothing * measured
-                + (1.0 - self.smoothing) * self._estimate_bytes_per_s
-            )
-        return self._estimate_bytes_per_s
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float:
-        """Fold a delivery-fraction measurement into the estimate.
-
-        The emulated receiver reports the fraction of packets that arrived;
-        the sender multiplies it by each group's nominal rate to get the
-        sustainable goodput — equivalent to the paper's arrival-spacing
-        estimate (losses stretch arrival gaps by exactly this factor) but
-        independent of how much of the frame budget the group occupied.
-        """
-        if not 0.0 <= delivered_fraction <= 1.0:
-            raise TransportError(
-                f"fraction must be in [0, 1], got {delivered_fraction}"
-            )
-        return self.observe_window(delivered_fraction, 1.0, rng)
-
-    def decay(self, factor: float) -> Optional[float]:
-        """Exponentially shrink a stale estimate (graceful degradation).
-
-        When a receiver's feedback report is lost, the sender keeps pacing
-        at the last-known-good rate but trusts it a little less every
-        frame: each call multiplies the estimate by ``factor``, so a long
-        feedback outage converges toward a conservative floor instead of
-        pinning a possibly-dead link at its last healthy rate.
-
-        Returns:
-            The decayed estimate, or ``None`` if no measurement exists yet
-            (nothing to decay).
-        """
-        if not 0.0 < factor <= 1.0:
-            raise TransportError(f"decay factor must be in (0, 1], got {factor}")
-        if self._estimate_bytes_per_s is not None:
-            self._estimate_bytes_per_s = max(
-                self._estimate_bytes_per_s * factor, 1e-9
-            )
-        return self._estimate_bytes_per_s
-
-    def reset(self) -> None:
-        """Forget all measurements (e.g. after re-association)."""
-        self._estimate_bytes_per_s = None
 
 
 class CohortBandwidthEstimator:
     """Whole-cohort bandwidth estimation as parallel arrays.
 
-    One float64 estimate row per receiver plus a has-measurement mask,
-    addressed through a user-index map.  The per-step arithmetic is the
-    exact EWMA of :class:`BandwidthEstimator`, applied elementwise, and the
-    batched observe draws its measurement noise through a single
-    ``rng.normal(..., size=n)`` — which numpy fills in the same stream
-    order as ``n`` sequential scalar draws, so cohort and per-user
-    sessions stay bit-identical at equal seeds.
+    Each receiver measures the bandwidth from packet arrival spacing and
+    feeds it back; the estimate is an exponentially smoothed measurement
+    with relative noise (real arrival timestamps jitter with interrupt
+    coalescing etc.).  One float64 estimate row per receiver plus a
+    has-measurement mask, addressed through a user-index map.  The batched
+    observe draws its measurement noise through a single
+    ``rng.normal(..., size=n)``, which numpy fills in the same stream order
+    as ``n`` sequential scalar draws, so results equal a per-receiver loop
+    of scalar estimators bit for bit.
 
-    Per-user compatibility (the seed path, joins/resets, strategies poking
-    a single estimate) goes through :meth:`view`, a scalar adapter with the
-    :class:`BandwidthEstimator` interface writing through to the arrays.
+    Per-user access (joins/resets, reading one estimate) goes through
+    :meth:`view`, a scalar adapter writing through to the arrays.
 
     Args:
         users: Receiver ids; fixes the array row order.
-        smoothing: EWMA factor, as for :class:`BandwidthEstimator`.
+        smoothing: EWMA factor applied across frames (1.0 = use only the
+            newest measurement).
         noise_std_fraction: Relative measurement noise.
     """
 
@@ -206,16 +100,20 @@ class CohortBandwidthEstimator:
     ) -> np.ndarray:
         """Fold delivery-fraction measurements for ``rows`` in, batched.
 
-        One noise draw per row, in row order.  Returns the updated
-        estimates for ``rows``.
+        The emulated receiver reports the fraction of packets that
+        arrived; the sender multiplies it by each group's nominal rate to
+        get the sustainable goodput — equivalent to the paper's
+        arrival-spacing estimate (losses stretch arrival gaps by exactly
+        this factor).  One noise draw per row, in row order.  Returns the
+        updated estimates for ``rows``.
         """
         fractions = np.asarray(fractions, dtype=np.float64)
         if fractions.size and (
             float(fractions.min()) < 0.0 or float(fractions.max()) > 1.0
         ):
             raise TransportError("fractions must be in [0, 1]")
-        # Exact op order of BandwidthEstimator.observe_window with a 1 s
-        # window: floor at 0, noise multiply, floor at 1e-9, EWMA.
+        # Op order of a per-measurement estimate over a 1 s window: floor
+        # at 0, noise multiply, floor at 1e-9, EWMA.
         measured = np.maximum(0.0, fractions / 1.0)
         measured = measured * (
             1.0 + rng.normal(0.0, self.noise_std_fraction, size=rows.size)
@@ -232,7 +130,13 @@ class CohortBandwidthEstimator:
         return updated
 
     def decay_rows(self, rows: np.ndarray, factor: float) -> None:
-        """Exponentially shrink stale estimates for ``rows`` (masked)."""
+        """Exponentially shrink stale estimates for ``rows`` (masked).
+
+        When a receiver's feedback report is lost, the sender keeps pacing
+        at the last-known-good rate but trusts it a little less every
+        frame, so a long outage converges toward a conservative floor
+        instead of pinning a possibly-dead link at its last healthy rate.
+        """
         if not 0.0 < factor <= 1.0:
             raise TransportError(f"decay factor must be in (0, 1], got {factor}")
         target = rows[self._has[rows]]
@@ -245,17 +149,12 @@ class CohortBandwidthEstimator:
         self._est[rows] = 0.0
 
     def view(self, user: int) -> "_CohortBandwidthView":
-        """A per-user :class:`BandwidthEstimator`-compatible adapter."""
+        """A per-user :class:`BandwidthTracker` adapter over one row."""
         return _CohortBandwidthView(self, self._index[user])
 
 
 class _CohortBandwidthView:
-    """Scalar adapter over one :class:`CohortBandwidthEstimator` row.
-
-    Arithmetic mirrors :class:`BandwidthEstimator` operation for operation,
-    so a session can mix scalar updates (seed path, observability runs)
-    and batched updates over the same state without divergence.
-    """
+    """Scalar adapter over one :class:`CohortBandwidthEstimator` row."""
 
     def __init__(self, parent: CohortBandwidthEstimator, row: int) -> None:
         self._parent = parent
@@ -271,50 +170,6 @@ class _CohortBandwidthView:
         parent, row = self._parent, self._row
         if not parent._has[row]:
             return None
-        return float(parent._est[row])
-
-    def observe_window(
-        self,
-        delivered_bytes: float,
-        window_s: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Scalar twin of :meth:`BandwidthEstimator.observe_window`."""
-        if window_s <= 0:
-            raise TransportError(f"window must be positive, got {window_s}")
-        parent, row = self._parent, self._row
-        measured = max(0.0, delivered_bytes / window_s)
-        measured *= float(1.0 + rng.normal(0.0, parent.noise_std_fraction))
-        measured = max(measured, 1e-9)
-        if parent._has[row]:
-            value = (
-                parent.smoothing * measured
-                + (1.0 - parent.smoothing) * float(parent._est[row])
-            )
-        else:
-            value = measured
-        parent._est[row] = value
-        parent._has[row] = True
-        return value
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float:
-        """Scalar twin of :meth:`BandwidthEstimator.observe_fraction`."""
-        if not 0.0 <= delivered_fraction <= 1.0:
-            raise TransportError(
-                f"fraction must be in [0, 1], got {delivered_fraction}"
-            )
-        return self.observe_window(delivered_fraction, 1.0, rng)
-
-    def decay(self, factor: float) -> Optional[float]:
-        """Scalar twin of :meth:`BandwidthEstimator.decay`."""
-        if not 0.0 < factor <= 1.0:
-            raise TransportError(f"decay factor must be in (0, 1], got {factor}")
-        parent, row = self._parent, self._row
-        if not parent._has[row]:
-            return None
-        parent._est[row] = max(float(parent._est[row]) * factor, 1e-9)
         return float(parent._est[row])
 
     def reset(self) -> None:

@@ -1,47 +1,54 @@
 """Struct-of-arrays receiver state for cohort-vectorized transmission.
 
-The per-user transmit path keeps a :class:`FrameBlockDecoder` (87 fountain
-decoders) and a dict of scalar tallies per receiver, and walks a Python loop
-over members for every packet.  That is O(symbols x users) Python work per
-frame and caps emulation runs at a handful of receivers.
-
-This module holds the cohort replacement: one :class:`FrameCohort` per frame
-keeps every receiver's reception state as numpy arrays indexed by a
-user-index map (user id -> array row), so a packet's delivery outcome for
-the whole multicast group is a single boolean row and a frame's bookkeeping
-is a handful of vectorized updates.
+One :class:`FrameCohort` per frame keeps every receiver's reception state
+as numpy arrays indexed by a user-index map (user id -> array row), so a
+packet's delivery outcome for the whole multicast group is a single
+boolean row and a frame's bookkeeping is a handful of vectorized updates —
+no per-receiver decoder objects and no Python loop over members per
+packet.
 
 Decodability without decoders
 -----------------------------
 
 The fountain code is systematic: symbol ids below ``K`` are source symbols,
-higher ids are dense random GF(256) combinations.  A receiver's unit is
-decodable iff the GF(256) rank of its received coefficient rows is ``K``.
-For a received set with systematic ids ``S`` and repair rows ``R`` the
-identity ``rank([I_S; R]) = |S| + rank(R[:, complement(S)])`` reduces the
-check to a small elimination over the repair rows only
-(:func:`repro.fountain.gf256.gf_rank`), and receivers with identical
-reception patterns share one check (``np.unique`` over pattern columns).
-In the common case — all systematic ids present — no elimination runs at
-all.
+higher ids are coded repair symbols.  For the dense random-linear code a
+receiver's unit is decodable iff the GF(256) rank of its received
+coefficient rows is ``K``.  For a received set with systematic ids ``S``
+and repair rows ``R`` the identity
+``rank([I_S; R]) = |S| + rank(R[:, complement(S)])`` reduces the check to
+a small elimination over the repair rows only
+(:func:`repro.fountain.gf256.gf_rank`).  The precode's decodability is
+not a rank test over coefficient rows, so for it each reception pattern's
+symbols are replayed into one :class:`repro.fountain.precode.PrecodeDecoder`.
+Either way receivers with identical reception patterns share one check
+(``np.unique`` over pattern columns), and in the common case — all
+systematic ids present — no elimination runs at all.
 
 Per-user :class:`FrameBlockDecoder` objects are only *materialized* lazily
 (:class:`CohortUserReception`), by replaying the recorded delivery events
 for that one receiver; the replay feeds the exact symbol sequence the
-per-user path would have ingested, so the materialized decoder is
-indistinguishable from one built online.
+receiver got, so the materialized decoder is indistinguishable from one
+built online.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fountain.block import CodingUnitId, FrameBlockDecoder, FrameBlockEncoder
+from ..fountain.block import (
+    PRECODE_CODEC,
+    CodingUnitId,
+    FrameBlockDecoder,
+    FrameBlockEncoder,
+)
 from ..fountain.gf256 import gf_rank
+from ..fountain.precode import PrecodeDecoder
 from ..fountain.raptor import COEFFICIENT_CACHE, FountainSymbol
+from ..obs import OBS
 from ..types import NUM_LAYERS
 from ..video.jigsaw import SUBLAYER_COUNTS
 
@@ -65,11 +72,10 @@ class UserTally:
 class UserTallies:
     """Cross-frame per-receiver tallies as parallel arrays.
 
-    The struct-of-arrays replacement for the transmitter's old
-    dict-of-``_UserTxState``: one int64 row per tracked receiver, addressed
-    through a user-index map, so a frame's end-of-transmission accounting is
-    three vectorized adds instead of a loop over users.  Eviction swaps the
-    last row into the vacated slot (order is never observable; readers sort).
+    One int64 row per tracked receiver, addressed through a user-index
+    map, so a frame's end-of-transmission accounting is three vectorized
+    adds instead of a loop over users.  Eviction swaps the last row into
+    the vacated slot (order is never observable; readers sort).
     """
 
     def __init__(self) -> None:
@@ -109,13 +115,6 @@ class UserTallies:
         self._frames[rows] += 1
         self._received[rows] += np.asarray(received, dtype=np.int64)
         self._lost[rows] += np.asarray(lost, dtype=np.int64)
-
-    def add(self, user: int, received: int = 0, lost: int = 0) -> None:
-        """Scalar per-user update (the seed path's accounting loop)."""
-        row = int(self._rows_for([user])[0])
-        self._frames[row] += 1
-        self._received[row] += int(received)
-        self._lost[row] += int(lost)
 
     def get(self, user: int) -> Optional[UserTally]:
         """Tally snapshot for ``user`` (None if never served)."""
@@ -159,6 +158,10 @@ class _UnitState:
     ``distinct[u]`` — distinct symbol ids held (the feedback quantity);
     repair symbols get one boolean row each over the cohort, plus their
     symbol id for coefficient lookup at decodability time.
+
+    ``replay_decoder`` is ``None`` for the dense codec (rank oracle);
+    for the precode it builds the fresh unit decoder that a reception
+    pattern's symbols are replayed into.
     """
 
     __slots__ = (
@@ -170,10 +173,17 @@ class _UnitState:
         "repair_rows",
         "repair_index",
         "events",
+        "replay_decoder",
         "_decoded",
     )
 
-    def __init__(self, block_id: int, k: int, num_users: int) -> None:
+    def __init__(
+        self,
+        block_id: int,
+        k: int,
+        num_users: int,
+        replay_decoder: Optional[Callable[[], PrecodeDecoder]] = None,
+    ) -> None:
         self.block_id = block_id
         self.k = k
         self.sys_mask = np.zeros((k, num_users), dtype=bool)
@@ -181,11 +191,12 @@ class _UnitState:
         self.repair_ids: List[int] = []
         self.repair_rows: List[np.ndarray] = []
         self.repair_index: Dict[int, int] = {}
-        #: Chronological (symbols, member_rows, delivered) records for lazy
-        #: per-user decoder replay.
+        #: Chronological (symbols, member_rows, delivered) records for
+        #: replay (precode decodability, lazy per-user decoders).
         self.events: List[
             Tuple[List[FountainSymbol], np.ndarray, np.ndarray]
         ] = []
+        self.replay_decoder = replay_decoder
         self._decoded: Optional[np.ndarray] = None
 
     def record(
@@ -233,6 +244,16 @@ class _UnitState:
                     full[member_rows] |= row
                     self.distinct[member_rows] += fresh
 
+    def received_symbols(self, row: int) -> Iterator[FountainSymbol]:
+        """The symbols receiver ``row`` got for this unit, in arrival order."""
+        for symbols, member_rows, delivered in self.events:
+            cols = np.nonzero(member_rows == row)[0]
+            if cols.size == 0:
+                continue
+            got = delivered[:, int(cols[0])]
+            for s_idx in np.nonzero(got)[0]:
+                yield symbols[int(s_idx)]
+
     def decoded_users(self) -> np.ndarray:
         """Boolean (num_users,) decodability of this unit, cached."""
         if self._decoded is not None:
@@ -245,25 +266,46 @@ class _UnitState:
                 patterns = np.concatenate(
                     [self.sys_mask[:, candidates], repair_mat[:, candidates]]
                 ).T
-                unique, inverse = np.unique(
-                    patterns, axis=0, return_inverse=True
+                unique, first, inverse = np.unique(
+                    patterns, axis=0, return_index=True, return_inverse=True
                 )
-                coeffs = np.stack(
-                    [
-                        COEFFICIENT_CACHE.row(self.block_id, self.k, sid)
-                        for sid in self.repair_ids
-                    ]
-                )
-                verdicts = np.zeros(unique.shape[0], dtype=bool)
-                for p, pattern in enumerate(unique):
-                    have_sys = pattern[: self.k]
-                    have_rep = pattern[self.k:]
-                    need = self.k - int(have_sys.sum())
-                    sub = coeffs[have_rep][:, ~have_sys]
-                    verdicts[p] = gf_rank(sub) >= need
+                if self.replay_decoder is None:
+                    verdicts = self._rank_verdicts(unique)
+                else:
+                    verdicts = np.array(
+                        [self._replay_verdict(int(candidates[i])) for i in first],
+                        dtype=bool,
+                    )
                 decoded[candidates] = verdicts[inverse]
         self._decoded = decoded
         return decoded
+
+    def _rank_verdicts(self, unique: np.ndarray) -> np.ndarray:
+        """Dense-code decodability of each distinct reception pattern."""
+        coeffs = np.stack(
+            [
+                COEFFICIENT_CACHE.row(self.block_id, self.k, sid)
+                for sid in self.repair_ids
+            ]
+        )
+        verdicts = np.zeros(unique.shape[0], dtype=bool)
+        for p, pattern in enumerate(unique):
+            have_sys = pattern[: self.k]
+            have_rep = pattern[self.k:]
+            need = self.k - int(have_sys.sum())
+            sub = coeffs[have_rep][:, ~have_sys]
+            verdicts[p] = gf_rank(sub) >= need
+        return verdicts
+
+    def _replay_verdict(self, row: int) -> bool:
+        """Replay receiver ``row``'s symbols into one fresh unit decoder."""
+        assert self.replay_decoder is not None
+        decoder = self.replay_decoder()
+        for symbol in self.received_symbols(row):
+            # The uninstrumented ingest: the cohort reports decode
+            # counters once per frame, not per replayed symbol.
+            decoder._ingest(symbol)
+        return decoder.is_decoded
 
 
 class FrameCohort:
@@ -271,7 +313,8 @@ class FrameCohort:
 
     Args:
         users: Receiver ids, defining the row order of every array.
-        encoder: The frame's block encoder (structure/symbol geometry).
+        encoder: The frame's block encoder (structure/symbol geometry and
+            codec).
     """
 
     def __init__(self, users: Sequence[int], encoder: FrameBlockEncoder) -> None:
@@ -280,6 +323,7 @@ class FrameCohort:
         self.frame_index = encoder.frame_index
         self.structure = encoder.structure
         self.symbol_size = encoder.symbol_size
+        self.codec = encoder.codec
         self.k = encoder.symbols_per_unit()
         n = len(self.users)
         self.packets_received = np.zeros(n, dtype=np.int64)
@@ -305,8 +349,7 @@ class FrameCohort:
         """Apply one group's delivery outcome for ``symbols`` of ``unit``.
 
         ``delivered`` is boolean ``(len(symbols), len(member_rows))``; every
-        member either receives or loses each symbol, exactly as the
-        per-user ``_deliver`` loop tallies it.
+        member either receives or loses each symbol.
         """
         if not symbols or member_rows.size == 0:
             return
@@ -318,7 +361,17 @@ class FrameCohort:
         )
         state = self._units.get(unit)
         if state is None:
-            state = _UnitState(unit.block_id, self.k, len(self.users))
+            replay = (
+                partial(
+                    PrecodeDecoder,
+                    unit.block_id,
+                    self.structure.sublayer_nbytes,
+                    self.symbol_size,
+                )
+                if self.codec == PRECODE_CODEC
+                else None
+            )
+            state = _UnitState(unit.block_id, self.k, len(self.users), replay)
             self._units[unit] = state
         state.record(symbols, member_rows, delivered)
 
@@ -353,8 +406,15 @@ class FrameCohort:
         matrices = [
             np.zeros((n, count), dtype=bool) for count in SUBLAYER_COUNTS
         ]
-        for unit, state in self._units.items():
-            matrices[unit.layer][:, unit.sublayer] = state.decoded_users()
+        with OBS.span("decode.fountain", frame=self.frame_index) as span:
+            for unit, state in self._units.items():
+                matrices[unit.layer][:, unit.sublayer] = state.decoded_users()
+            if OBS.mode:
+                received = int(self.packets_received.sum())
+                blocks = sum(int(m.sum()) for m in matrices)
+                OBS.count("fountain.symbols_received", received)
+                OBS.count("fountain.blocks_decoded", blocks)
+                span.set(symbols=received, blocks_decoded=blocks)
         return matrices
 
     def bytes_per_layer_matrix(self) -> np.ndarray:
@@ -375,26 +435,20 @@ class FrameCohort:
         the same state as the original chronological interleaving.
         """
         decoder = FrameBlockDecoder(
-            self.frame_index, self.structure, self.symbol_size
+            self.frame_index, self.structure, self.symbol_size, codec=self.codec
         )
         for state in self._units.values():
-            for symbols, member_rows, delivered in state.events:
-                cols = np.nonzero(member_rows == row)[0]
-                if cols.size == 0:
-                    continue
-                got = delivered[:, int(cols[0])]
-                for s_idx in np.nonzero(got)[0]:
-                    decoder.ingest(symbols[int(s_idx)])
+            for symbol in state.received_symbols(row):
+                decoder.ingest(symbol)
         return decoder
 
 
 class CohortUserReception:
     """One receiver's view into a :class:`FrameCohort`.
 
-    Duck-types :class:`repro.transport.transmitter.UserReception`: the
-    scalar tallies read straight from the cohort arrays and the
-    ``decoder`` materializes on first access (cohort-aware consumers never
-    touch it, so the fast path never builds per-user decoders).
+    The scalar tallies read straight from the cohort arrays and the
+    ``decoder`` materializes on first access (the pipeline stages never
+    touch it, so streaming never builds per-user decoders).
     """
 
     __slots__ = ("_cohort", "_row", "_decoder")

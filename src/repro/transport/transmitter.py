@@ -26,14 +26,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import TransportError
-from ..fountain.block import (
-    DENSE_CODEC,
-    CodingUnitId,
-    FrameBlockDecoder,
-    FrameBlockEncoder,
-)
+from ..fountain.block import CodingUnitId, FrameBlockEncoder
 from ..obs import OBS
-from ..perf.mode import seed_path_active
 from ..phy.channel import ChannelState
 from ..scheduling.coding_groups import UnitAssignment
 from ..scheduling.groups import CandidateGroup
@@ -73,37 +67,27 @@ _UserTxState = UserTally
 
 
 @dataclass
-class UserReception:
-    """What one receiver got out of a frame transmission."""
-
-    decoder: FrameBlockDecoder
-    delivered_payload_bytes: float = 0.0
-    packets_received: int = 0
-    packets_lost: int = 0
-
-
-@dataclass
 class TransmissionResult:
     """Outcome of one frame's transmission.
 
     Attributes:
-        receptions: Per-user reception state (decoders hold the symbols).
+        receptions: Per-user views into ``cohort`` (tallies plus a lazily
+            materialized decoder), for the users this transmission served.
         airtime_s: Total air/queue time consumed.
         packets_sent: Packets put on the air (post rate-control/queue).
         packets_dropped_at_queue: Packets lost in the kernel queue (only in
             the no-rate-control mode).
         feedback_rounds_used: Retransmission rounds that actually ran.
-        cohort: Struct-of-arrays reception state when the vectorized path
-            ran (None on the seed / observability per-user path); cohort-
-            aware pipeline stages read it instead of per-user decoders.
+        cohort: Struct-of-arrays reception state of every receiver; the
+            feedback and scoring stages read it directly.
     """
 
-    receptions: Dict[int, UserReception]
+    receptions: Dict[int, CohortUserReception]
     airtime_s: float
     packets_sent: int
     packets_dropped_at_queue: int
     feedback_rounds_used: int
-    cohort: Optional[FrameCohort] = None
+    cohort: FrameCohort
 
 
 @dataclass
@@ -142,7 +126,7 @@ class FrameTransmitter:
         rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
         active_users: Optional[Sequence[int]] = None,
         faults: Optional["FaultView"] = None,
-        allow_cohort: bool = True,
+        cohort: Optional[FrameCohort] = None,
     ) -> TransmissionResult:
         """Run one frame's transmission and return per-user receptions.
 
@@ -161,24 +145,24 @@ class FrameTransmitter:
                 applies blockage/SNR-dip attenuation through the link
                 wrapper and packet-erasure bursts on the delivery
                 probabilities.
-            allow_cohort: When False, stay on the per-user reception path
-                even in optimized mode.  The multi-AP pipeline merges
-                several per-AP passes and repairs decoders across APs, so
-                it needs per-user decoder objects, not a cohort.
+            cohort: Reception state to record into; ``None`` starts a
+                fresh cohort over the served users.  The multi-AP pipeline
+                passes one cohort to every per-AP pass, each recording
+                into its own users' rows.
         """
         if budget_s <= 0:
             raise TransportError(f"budget must be positive, got {budget_s}")
         if not OBS.mode:
             return self._transmit(
                 encoder, assignments, groups, true_state, budget_s, rng,
-                rate_limits_bytes_per_s, active_users, faults, allow_cohort,
+                rate_limits_bytes_per_s, active_users, faults, cohort,
             )
         with OBS.span(
             "transport.transmit", frame=encoder.frame_index
         ) as span:
             result = self._transmit(
                 encoder, assignments, groups, true_state, budget_s, rng,
-                rate_limits_bytes_per_s, active_users, faults, allow_cohort,
+                rate_limits_bytes_per_s, active_users, faults, cohort,
             )
             span.set(
                 packets_sent=result.packets_sent,
@@ -206,15 +190,26 @@ class FrameTransmitter:
         true_state: ChannelState,
         budget_s: float,
         rng: np.random.Generator,
-        rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
-        active_users: Optional[Sequence[int]] = None,
-        faults: Optional["FaultView"] = None,
-        allow_cohort: bool = True,
+        rate_limits_bytes_per_s: Optional[Dict[int, float]],
+        active_users: Optional[Sequence[int]],
+        faults: Optional["FaultView"],
+        cohort: Optional[FrameCohort],
     ) -> TransmissionResult:
+        """One frame's transmission over cohort arrays.
+
+        The draw-ordering contract: one ``rng.random((symbols, members))``
+        block per paced entry (drawn before the deadline cut) and one
+        ``rng.random(members)`` row per *sent* burst packet (batched as
+        ``(run, members)`` blocks, which numpy fills in the same order), so
+        results equal a per-receiver loop with scalar draws bit for bit
+        (``tests/reference`` holds that loop as the oracle).
+        """
         users = true_state.user_ids
         if active_users is not None:
             present = set(active_users)
             users = [u for u in users if u in present]
+        if cohort is None:
+            cohort = FrameCohort(users, encoder)
         limits = rate_limits_bytes_per_s or {}
         packet_bytes = encoder.symbol_size + HEADER_BYTES
 
@@ -228,134 +223,40 @@ class FrameTransmitter:
 
         state = _TxState(clock_s=0.0, packets_sent=0, dropped_at_queue=0)
         plan = self._expand_assignments(encoder, assignments, groups)
-
-        if (
-            allow_cohort
-            and encoder.codec == DENSE_CODEC
-            and not seed_path_active()
-            and not OBS.mode
-        ):
-            # Vectorized cohort path: struct-of-arrays receiver state, one
-            # batched Bernoulli comparison per coding group.  Observability
-            # runs stay on the per-user path so the per-packet counters and
-            # fountain decode events keep firing.  The cohort's rank oracle
-            # is specific to the dense code's coefficient cache, so precode
-            # sessions use the per-user decoders.
-            return self._transmit_cohort(
-                encoder, assignments, groups, users, plan, rates, true_state,
-                packet_bytes, budget_s, state, rng, faults,
-            )
-
-        receptions = {
-            u: UserReception(
-                decoder=FrameBlockDecoder(
-                    encoder.frame_index,
-                    encoder.structure,
-                    encoder.symbol_size,
-                    codec=encoder.codec,
-                )
-            )
-            for u in users
-        }
-
         # Delivery probabilities are deterministic per group within a frame
-        # (fixed beam, MCS and true channel), so memoize them across plan
-        # entries and feedback rounds; the seed path recomputes every time.
-        prob_cache: Optional[Dict[int, Dict[int, float]]] = (
-            None if seed_path_active() else {}
-        )
-
-        if self.rate_control:
-            self._paced_pass(plan, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, prob_cache,
-                             faults)
-        else:
-            self._burst_pass(plan, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, faults)
-
-        rounds = 0
-        for _ in range(max(0, self.max_feedback_rounds)):
-            if state.clock_s + FEEDBACK_LATENCY_S >= budget_s:
-                break
-            state.clock_s += FEEDBACK_LATENCY_S
-            makeup = self._makeup_plan(encoder, assignments, groups, receptions)
-            if not makeup:
-                break
-            rounds += 1
-            self._paced_pass(makeup, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, prob_cache,
-                             faults)
-
-        for user, reception in receptions.items():
-            self._tallies.add(
-                user, reception.packets_received, reception.packets_lost
-            )
-
-        return TransmissionResult(
-            receptions=receptions,
-            airtime_s=min(state.clock_s, budget_s),
-            packets_sent=state.packets_sent,
-            packets_dropped_at_queue=state.dropped_at_queue,
-            feedback_rounds_used=rounds,
-        )
-
-    def _transmit_cohort(
-        self,
-        encoder: FrameBlockEncoder,
-        assignments: Sequence[UnitAssignment],
-        groups: Sequence[CandidateGroup],
-        users: List[int],
-        plan: List[Tuple[int, CodingUnitId, list]],
-        rates: Dict[int, float],
-        true_state: ChannelState,
-        packet_bytes: int,
-        budget_s: float,
-        state: _TxState,
-        rng: np.random.Generator,
-        faults: Optional["FaultView"],
-    ) -> TransmissionResult:
-        """Cohort-vectorized twin of the per-user transmission body.
-
-        The draw-ordering contract: every plan entry consumes exactly the
-        same rng stream as the per-user path — one ``rng.random((symbols,
-        members))`` block per paced entry (drawn before the deadline cut),
-        one ``rng.random(members)`` per *sent* burst packet (batched as
-        ``(run, members)`` blocks, which numpy fills in the same order) —
-        so both paths are bit-identical at equal seeds.
-        """
-        cohort = FrameCohort(users, encoder)
+        # (fixed beam, MCS and true channel), so they are memoized across
+        # plan entries and feedback rounds.
         prob_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
         if self.rate_control:
-            self._paced_pass_cohort(plan, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
+            self._paced_pass(plan, groups, rates, true_state, cohort,
+                             packet_bytes, budget_s, state, rng,
+                             prob_cache, faults)
         else:
-            self._burst_pass_cohort(plan, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
+            self._burst_pass(plan, groups, rates, true_state, cohort,
+                             packet_bytes, budget_s, state, rng,
+                             prob_cache, faults)
 
         rounds = 0
         for _ in range(max(0, self.max_feedback_rounds)):
             if state.clock_s + FEEDBACK_LATENCY_S >= budget_s:
                 break
             state.clock_s += FEEDBACK_LATENCY_S
-            makeup = self._makeup_plan_cohort(encoder, assignments, groups,
-                                              cohort)
+            makeup = self._makeup_plan(encoder, assignments, groups, cohort)
             if not makeup:
                 break
             rounds += 1
-            self._paced_pass_cohort(makeup, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
+            self._paced_pass(makeup, groups, rates, true_state, cohort,
+                             packet_bytes, budget_s, state, rng,
+                             prob_cache, faults)
 
+        rows = cohort.member_rows(users)
         self._tallies.update_frame(
-            cohort.users, cohort.packets_received, cohort.packets_lost
+            users, cohort.packets_received[rows], cohort.packets_lost[rows]
         )
-
-        receptions: Dict[int, UserReception] = {
-            u: CohortUserReception(cohort, i)  # type: ignore[misc]
-            for i, u in enumerate(cohort.users)
+        receptions = {
+            u: CohortUserReception(cohort, int(row))
+            for u, row in zip(users, rows)
         }
         return TransmissionResult(
             receptions=receptions,
@@ -398,54 +299,10 @@ class FrameTransmitter:
         encoder: FrameBlockEncoder,
         assignments: Sequence[UnitAssignment],
         groups: Sequence[CandidateGroup],
-        receptions: Dict[int, UserReception],
-    ) -> List[Tuple[int, CodingUnitId, list]]:
-        """Retransmission plan from per-sublayer feedback (Sec 2.6)."""
-        k = encoder.symbols_per_unit()
-        plan = []
-        seen_units = set()
-        for assignment in assignments:
-            unit = CodingUnitId(
-                encoder.frame_index, assignment.layer, assignment.sublayer
-            )
-            key = (assignment.group_index, unit)
-            if key in seen_units:
-                continue
-            seen_units.add(key)
-            group = groups[assignment.group_index]
-            members = [u for u in group.user_ids if u in receptions]
-            if not members:
-                continue
-            if self.source_coding:
-                deficit = max(
-                    k - receptions[u].decoder.unit_decoder(unit).received_count
-                    for u in members
-                )
-                if deficit <= 0:
-                    continue
-                plan.append(
-                    (assignment.group_index, unit, encoder.next_symbols(unit, deficit))
-                )
-            else:
-                missing: set = set()
-                for u in members:
-                    decoder = receptions[u].decoder.unit_decoder(unit)
-                    if not decoder.is_decoded:
-                        missing |= set(range(k)) - decoder.received_ids()
-                if not missing:
-                    continue
-                symbols = [encoder.symbol_at(unit, i) for i in sorted(missing)]
-                plan.append((assignment.group_index, unit, symbols))
-        return plan
-
-    def _makeup_plan_cohort(
-        self,
-        encoder: FrameBlockEncoder,
-        assignments: Sequence[UnitAssignment],
-        groups: Sequence[CandidateGroup],
         cohort: FrameCohort,
     ) -> List[Tuple[int, CodingUnitId, list]]:
-        """Retransmission plan read from cohort arrays (no decoders)."""
+        """Retransmission plan from per-sublayer feedback (Sec 2.6), read
+        from cohort arrays."""
         k = encoder.symbols_per_unit()
         plan = []
         seen_units = set()
@@ -479,79 +336,11 @@ class FrameTransmitter:
     # ------------------------------------------------------------------ passes
 
     def _paced_pass(
-        self, plan, groups, rates, true_state, receptions,
-        packet_bytes, budget_s, state, rng, prob_cache=None, faults=None,
-    ) -> None:
-        last_group = -1
-        for group_index, _unit, symbols in plan:
-            if not symbols:
-                continue
-            group = groups[group_index]
-            if group.plan.mcs is None:
-                continue
-            if group_index != last_group:
-                state.clock_s += GROUP_SWITCH_OVERHEAD_S
-                last_group = group_index
-            if prob_cache is None:
-                probs = self._member_probs(group, true_state, receptions, faults)
-            elif group_index in prob_cache:
-                probs = prob_cache[group_index]
-            else:
-                probs = self._member_probs(group, true_state, receptions, faults)
-                prob_cache[group_index] = probs
-            airtime = packet_bytes / rates[group_index]
-            draws = rng.random((len(symbols), len(probs)))
-            for s_idx, symbol in enumerate(symbols):
-                if state.clock_s + airtime > budget_s:
-                    return
-                state.clock_s += airtime
-                state.packets_sent += 1
-                self._deliver(symbol, probs, draws[s_idx], receptions)
-
-    def _burst_pass(
-        self, plan, groups, rates, true_state, receptions,
-        packet_bytes, budget_s, state, rng, faults=None,
-    ) -> None:
-        """No rate control: one big burst through the kernel queue."""
-        queue = self.kernel_queue or KernelQueue()
-        flat = [
-            (group_index, symbol)
-            for group_index, _unit, symbols in plan
-            for symbol in symbols
-        ]
-        if not flat:
-            return
-        mean_rate = float(np.mean([rates[g] for g, _ in flat]))
-        mask = queue.admitted_mask(
-            len(flat), packet_bytes, mean_rate, budget_s, rng
-        )
-        state.dropped_at_queue += int((~mask).sum())
-        member_prob_cache: Dict[int, Dict[int, float]] = {}
-        for (group_index, symbol), admitted in zip(flat, mask):
-            airtime = packet_bytes / rates[group_index]
-            if state.clock_s + airtime > budget_s:
-                break
-            if not admitted:
-                continue
-            group = groups[group_index]
-            if group.plan.mcs is None:
-                continue
-            state.clock_s += airtime
-            state.packets_sent += 1
-            if group_index not in member_prob_cache:
-                member_prob_cache[group_index] = self._member_probs(
-                    group, true_state, receptions, faults
-                )
-            probs = member_prob_cache[group_index]
-            draws = rng.random(len(probs))
-            self._deliver(symbol, probs, draws, receptions)
-
-    def _paced_pass_cohort(
         self, plan, groups, rates, true_state, cohort,
         packet_bytes, budget_s, state, rng, prob_cache, faults=None,
     ) -> None:
-        """Paced pass over cohort arrays: one draw block + one boolean
-        compare per plan entry, scalar clock walk for the deadline cut."""
+        """Paced pass: one draw block + one boolean compare per plan
+        entry, scalar clock walk for the deadline cut."""
         last_group = -1
         for group_index, unit, symbols in plan:
             if not symbols:
@@ -562,7 +351,7 @@ class FrameTransmitter:
             if group_index != last_group:
                 state.clock_s += GROUP_SWITCH_OVERHEAD_S
                 last_group = group_index
-            member_rows, probs = self._cohort_probs(
+            member_rows, probs = self._group_probs(
                 group, true_state, cohort, prob_cache, faults
             )
             airtime = packet_bytes / rates[group_index]
@@ -582,13 +371,14 @@ class FrameTransmitter:
             if cut:
                 return
 
-    def _burst_pass_cohort(
+    def _burst_pass(
         self, plan, groups, rates, true_state, cohort,
         packet_bytes, budget_s, state, rng, prob_cache, faults=None,
     ) -> None:
-        """No rate control, cohort arrays: the queue/clock walk is decided
-        first (it draws no per-member randomness), then delivery draws are
-        batched per contiguous same-group run of sent packets."""
+        """No rate control: one burst through the kernel queue.  The
+        queue/clock walk is decided first (it draws no per-member
+        randomness), then delivery draws are batched per contiguous
+        same-group run of sent packets."""
         queue = self.kernel_queue or KernelQueue()
         flat = [
             (group_index, unit, symbol)
@@ -620,7 +410,7 @@ class FrameTransmitter:
             j = i
             while j < len(sent) and sent[j][0] == group_index:
                 j += 1
-            member_rows, probs = self._cohort_probs(
+            member_rows, probs = self._group_probs(
                 groups[group_index], true_state, cohort, prob_cache, faults
             )
             draws = rng.random((j - i, len(probs)))
@@ -640,32 +430,7 @@ class FrameTransmitter:
 
     # ------------------------------------------------------------------ utils
 
-    def _member_probs(
-        self,
-        group: CandidateGroup,
-        true_state: ChannelState,
-        receptions: Dict[int, UserReception],
-        faults: Optional["FaultView"] = None,
-    ) -> Dict[int, float]:
-        link = self.link if faults is None else faults.wrap_link(self.link)
-        probs = {
-            u: link.delivery_probability(
-                u, group.plan.beam, true_state, group.plan.mcs
-            )
-            for u in group.user_ids
-            if u in receptions
-        }
-        if faults is not None:
-            # Erasure bursts kill packets independently of the channel:
-            # scaling the delivery probability (instead of drawing extra
-            # randomness) keeps the rng stream — and hence zero-intensity
-            # runs — bit-identical to the fault-free path.
-            scale = faults.erasure_scale()
-            if scale < 1.0:
-                probs = {u: p * scale for u, p in probs.items()}
-        return probs
-
-    def _cohort_probs(
+    def _group_probs(
         self,
         group: CandidateGroup,
         true_state: ChannelState,
@@ -675,8 +440,8 @@ class FrameTransmitter:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(member rows, delivery probabilities) for a group, memoized.
 
-        Member order matches :meth:`_member_probs` (group order filtered to
-        cohort membership) so draw columns line up across paths.
+        Members are the group's users in group order, filtered to cohort
+        membership; draw columns follow that order.
         """
         cached = prob_cache.get(group.index)
         if cached is not None:
@@ -715,14 +480,3 @@ class FrameTransmitter:
         self._tallies.evict(user)
         if OBS.mode:
             OBS.count("transport.users_evicted")
-
-    @staticmethod
-    def _deliver(symbol, probs: Dict[int, float], draws, receptions) -> None:
-        for (user, prob), draw in zip(probs.items(), np.atleast_1d(draws)):
-            reception = receptions[user]
-            if draw < prob:
-                reception.decoder.ingest(symbol)
-                reception.packets_received += 1
-                reception.delivered_payload_bytes += len(symbol.payload)
-            else:
-                reception.packets_lost += 1

@@ -12,6 +12,8 @@ SSIM must hold up at least as well as the single AP's.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,10 +28,10 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.obs import OBS, observed
-from repro.perf import perf_mode
 from repro.phy.topology import TopologyConfig
 
 from tests.faults.conftest import fingerprint
+from tests.reference import seed_path
 
 RES = dict(height=144, width=256)
 
@@ -125,12 +127,12 @@ class TestSingleApIdentity:
         self, scenario, tiny_dnn, hr_probe, num_users, seed, faults
     ):
         """A 1-AP config streams the AP-0 sub-trace of a 2-AP superset
-        recording bit-identically to a plain 1-AP recording — in both the
-        seed and the optimized transport paths."""
+        recording bit-identically to a plain 1-AP recording — both on the
+        seed oracle and on the cohort transport."""
         single = _trace(scenario, num_users, seed)
         superset = _trace(scenario, num_users, seed, num_aps=2)
-        for mode in ("seed", "optimized"):
-            with perf_mode(mode):
+        for path in (seed_path, nullcontext):
+            with path():
                 reference = fingerprint(_run(
                     scenario, tiny_dnn, hr_probe, single,
                     seed=seed, faults=dict(faults),
@@ -174,6 +176,24 @@ class TestMultiApSession:
             (f, u) for f in range(6) for u in range(3)
         }
         assert all(0.0 <= s.ssim <= 1.0 for s in outcome.stats)
+
+    def test_two_ap_blockage_matches_seed_oracle(
+        self, scenario, tiny_dnn, hr_probe
+    ):
+        """Under deep AP-0 blockage the cohort's shared per-AP passes and
+        array-recorded cross-AP repair reproduce the per-receiver decoder
+        oracle bit for bit, with repair packets actually on the air."""
+        with seed_path():
+            reference = fingerprint(self._two_ap_outcome(
+                scenario, tiny_dnn, hr_probe, faults=dict(BLOCKAGE),
+            ))
+        with observed("counters"):
+            outcome = self._two_ap_outcome(
+                scenario, tiny_dnn, hr_probe, faults=dict(BLOCKAGE),
+            )
+            counters = OBS.counters()
+        assert counters.get("core.multi_ap.repair.packets", 0) > 0
+        assert fingerprint(outcome) == reference
 
     def test_two_ap_session_deterministic(self, scenario, tiny_dnn, hr_probe):
         first = fingerprint(self._two_ap_outcome(

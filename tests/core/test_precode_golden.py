@@ -3,26 +3,26 @@
 The RaptorQ-style precode is opt-in via ``SystemConfig.fountain_codec``.
 Two safety properties keep the seed wire format trustworthy:
 
-* a default-config session — seed mode *and* optimized mode — never
-  instantiates a :class:`repro.fountain.precode.Precode` (the PR 4
+* a default-config session — on the seed oracle *and* on the production
+  path — never instantiates a :class:`repro.fountain.precode.Precode` (the PR 4
   never-instantiate pattern: the constructor is rigged to explode), and
 * the recorded golden snapshots reproduce bit-identically with the precode
   module imported and its process-wide cache cleared, so merely shipping
   the new codec cannot perturb ``tests/core/golden_stream.json``.
 
-A precode-config session is also exercised end to end here: identical
-stats across seed/optimized perf modes, sane quality, and the cohort fast
-path correctly bypassed.
+A precode-config session is also exercised end to end here: stats
+identical to the seed oracle's per-receiver precode decoders, and sane
+quality.
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core import MulticastStreamer, SystemConfig
 from repro.errors import ConfigurationError
 from repro.fountain.precode import Precode
-from repro.perf import perf_mode
 from repro.types import SchedulerKind
 
 from tests.core.golden_cases import (
@@ -37,6 +37,7 @@ from tests.core.golden_cases import (
     case_key,
     serialize_stat,
 )
+from tests.reference import seed_path
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +50,23 @@ def environment():
     return build_environment()
 
 
-def _stream(environment, mode="optimized", **config_kwargs):
+def _stream(environment, path=nullcontext, **config_kwargs):
     dnn, probes, channel_model, trace = environment
     config = SystemConfig(height=HEIGHT, width=WIDTH, **config_kwargs)
     streamer = MulticastStreamer(
         config, dnn, probes, channel_model, seed=STREAM_SEED
     )
-    with perf_mode(mode):
+    with path():
         outcome = streamer.session(trace).run(NUM_FRAMES)
     return [serialize_stat(stat) for stat in outcome.stats]
 
 
 class TestDenseSessionsNeverInstantiatePrecode:
-    @pytest.mark.parametrize("mode", ["seed", "optimized"])
+    @pytest.mark.parametrize(
+        "path", [seed_path, nullcontext], ids=["seed", "production"]
+    )
     def test_default_config_never_builds_a_precode(
-        self, golden, environment, mode, monkeypatch
+        self, golden, environment, path, monkeypatch
     ):
         def explode(*args, **kwargs):
             raise AssertionError(
@@ -72,7 +75,7 @@ class TestDenseSessionsNeverInstantiatePrecode:
 
         Precode.clear_cache()
         monkeypatch.setattr(Precode, "__init__", explode)
-        current = _stream(environment, mode=mode)
+        current = _stream(environment, path=path)
         assert current == golden[case_key(*CASES[0])]
 
     def test_golden_stream_unchanged_with_precode_cache_cleared(
@@ -92,13 +95,13 @@ class TestDenseSessionsNeverInstantiatePrecode:
 
 
 class TestPrecodeSessions:
-    def test_precode_session_identical_across_perf_modes(self, environment):
-        optimized = _stream(
-            environment, mode="optimized", fountain_codec="precode"
+    def test_precode_session_identical_to_seed_oracle(self, environment):
+        production = _stream(environment, fountain_codec="precode")
+        seeded = _stream(
+            environment, path=seed_path, fountain_codec="precode"
         )
-        seeded = _stream(environment, mode="seed", fountain_codec="precode")
-        assert optimized == seeded
-        assert len(optimized) == len(seeded) > 0
+        assert production == seeded
+        assert len(production) == len(seeded) > 0
 
     def test_precode_session_delivers_quality(self, environment):
         stats = _stream(environment, fountain_codec="precode")

@@ -107,12 +107,12 @@ class TestParallelDeterminism:
         assert serial == fanned
 
     def test_seed_path_metrics_identical(self, ctx):
-        from repro.perf import perf_mode
+        from tests.reference import seed_path
 
         optimized = run_scheduler_comparison(
             ctx, 2, ("arc", 3, 60), runs=1, frames=2, jobs=1
         )
-        with perf_mode("seed"):
+        with seed_path():
             reference = run_scheduler_comparison(
                 ctx, 2, ("arc", 3, 60), runs=1, frames=2, jobs=1
             )

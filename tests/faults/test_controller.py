@@ -13,7 +13,7 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.obs import OBS, observed
-from repro.transport import BandwidthEstimator
+from repro.transport import CohortBandwidthEstimator
 
 
 def _controller(events, config=None):
@@ -138,27 +138,40 @@ class TestLinkWrapping:
 
 
 class TestEstimatorDecay:
+    @staticmethod
+    def _estimator(fraction=None):
+        estimator = CohortBandwidthEstimator([0], noise_std_fraction=0.0)
+        rows = estimator.rows([0])
+        if fraction is not None:
+            estimator.observe_fraction_rows(
+                rows, np.array([fraction]), np.random.default_rng(0)
+            )
+        return estimator, rows
+
     def test_decay_shrinks_estimate(self):
-        estimator = BandwidthEstimator(noise_std_fraction=0.0)
-        estimator.observe_window(1000.0, 1.0, np.random.default_rng(0))
-        before = estimator.estimate_bytes_per_s
-        after = estimator.decay(0.5)
-        assert after == pytest.approx(before * 0.5)
+        estimator, rows = self._estimator(0.8)
+        before = estimator.view(0).estimate_bytes_per_s
+        estimator.decay_rows(rows, 0.5)
+        assert estimator.view(0).estimate_bytes_per_s == pytest.approx(
+            before * 0.5
+        )
 
     def test_decay_before_measurement_is_noop(self):
-        assert BandwidthEstimator().decay(0.5) is None
+        estimator, rows = self._estimator()
+        estimator.decay_rows(rows, 0.5)
+        assert estimator.view(0).estimate_bytes_per_s is None
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_bad_factor_rejected(self, factor):
+        estimator, rows = self._estimator()
         with pytest.raises(TransportError):
-            BandwidthEstimator().decay(factor)
+            estimator.decay_rows(rows, factor)
 
     def test_decay_floors_above_zero(self):
-        estimator = BandwidthEstimator(noise_std_fraction=0.0)
-        estimator.observe_window(1e-6, 1.0, np.random.default_rng(0))
+        estimator, rows = self._estimator(1e-6)
         for _ in range(100):
-            estimator.decay(0.1)
-        assert estimator.estimate_bytes_per_s >= 1e-9
+            estimator.decay_rows(rows, 0.1)
+        assert estimator.view(0).estimate_bytes_per_s >= 1e-9
 
 
 class TestApScopedViews:

@@ -1,8 +1,8 @@
-"""Equivalence tests: batched/incremental fountain paths vs the seed path.
+"""Equivalence tests: batched/incremental fountain codec vs the seed oracle.
 
-The optimized codec (cached coefficient rows, one-matmul batch encode,
-incremental Gaussian elimination) must be *bit-identical* to the original
-per-symbol / re-solve implementation for every reception pattern.
+The codec (cached coefficient rows, one-matmul batch encode, incremental
+Gaussian elimination) must be *bit-identical* to the original per-symbol /
+re-solve implementation in ``tests.reference`` for every reception pattern.
 """
 
 import numpy as np
@@ -17,7 +17,9 @@ from repro.fountain.raptor import (
     FountainEncoder,
     _coefficients,
 )
-from repro.perf import perf_mode
+from repro.obs import observed
+
+from tests.reference import SeedFountainDecoder, seed_path
 
 _SETTINGS = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=25
@@ -32,7 +34,8 @@ def _payload(seed: int, nbytes: int) -> bytes:
     )
 
 
-def _round_trip(block_id, data, symbol_size, symbol_ids):
+def _round_trip(block_id, data, symbol_size, symbol_ids,
+                decoder_cls=FountainDecoder):
     """Encode, deliver exactly ``symbol_ids``, decode (None if rank-short).
 
     A set of exactly ``k`` symbols containing random repair rows is
@@ -40,7 +43,7 @@ def _round_trip(block_id, data, symbol_size, symbol_ids):
     outcome the caller must compare across paths, not an error.
     """
     encoder = FountainEncoder(block_id, data, symbol_size)
-    decoder = FountainDecoder(block_id, len(data), symbol_size)
+    decoder = decoder_cls(block_id, len(data), symbol_size)
     for symbol_id in symbol_ids:
         decoder.add_symbol(encoder.symbol(symbol_id))
     return decoder.decode() if decoder.is_decoded else None
@@ -63,7 +66,7 @@ class TestBatchedEncodeEquivalence:
         k = encoder.num_source_symbols
         start = max(0, k - 2)  # straddle the systematic/repair boundary
         batched = encoder.symbols(start, count)
-        with perf_mode("seed"):
+        with seed_path():
             reference = [encoder.symbol(start + i) for i in range(count)]
         assert [s.payload for s in batched] == [s.payload for s in reference]
         assert [s.symbol_id for s in batched] == [s.symbol_id for s in reference]
@@ -106,8 +109,10 @@ class TestRoundTripEquivalence:
         ids += list(range(k, k + int(lost.sum()) + extra))
         rng.shuffle(ids)
         optimized = _round_trip(42, data, symbol_size, ids)
-        with perf_mode("seed"):
-            reference = _round_trip(42, data, symbol_size, ids)
+        with seed_path():
+            reference = _round_trip(
+                42, data, symbol_size, ids, SeedFountainDecoder
+            )
         # Paths must agree on decodability; when decodable, on the bytes.
         assert optimized == reference
         if optimized is not None:
@@ -132,8 +137,8 @@ class TestRoundTripEquivalence:
             "k_plus_h": list(range(3, k)) + list(range(k, k + 6)),
         }[pattern]
         optimized = _round_trip(9, data, symbol_size, ids)
-        with perf_mode("seed"):
-            reference = _round_trip(9, data, symbol_size, ids)
+        with seed_path():
+            reference = _round_trip(9, data, symbol_size, ids, SeedFountainDecoder)
         assert optimized == reference == data
 
 
@@ -172,14 +177,27 @@ class TestIncrementalDecoder:
         rng = np.random.default_rng(2)
         ids = list(rng.permutation(np.arange(2, k + 8)))
         incremental = FountainDecoder(11, len(data), symbol_size)
-        with perf_mode("seed"):
-            reference = FountainDecoder(11, len(data), symbol_size)
+        reference = SeedFountainDecoder(11, len(data), symbol_size)
         for symbol_id in ids:
             symbol = encoder.symbol(int(symbol_id))
-            with perf_mode("seed"):
-                ref_done = reference.add_symbol(symbol)
+            ref_done = reference.add_symbol(symbol)
             assert incremental.add_symbol(symbol) == ref_done
         assert incremental.decode() == reference.decode() == data
+
+    def test_observed_decode_emits_counters(self):
+        """Under observability the decoder counts every symbol it ingests
+        before the block completes, and the completion itself."""
+        data = _payload(12, 200)
+        encoder = FountainEncoder(13, data, 20)
+        k = encoder.num_source_symbols
+        decoder = FountainDecoder(13, len(data), 20)
+        with observed("counters") as registry:
+            for symbol in encoder.symbols(0, k + 1):
+                decoder.add_symbol(symbol)
+            counters = registry.counters()
+        assert decoder.decode() == data
+        assert counters["fountain.symbols_received"] == k
+        assert counters["fountain.blocks_decoded"] == 1
 
     def test_shared_cache_isolated_per_block(self):
         COEFFICIENT_CACHE.clear()

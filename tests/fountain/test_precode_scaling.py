@@ -5,7 +5,7 @@ Gaussian elimination.  This suite makes that claim a tier-1 regression
 test rather than prose: elimination effort is read from the ``obs``
 counters (``fountain.inactivation.elem_ops`` for the precode,
 ``fountain.gf.solve_elem_ops`` for the dense control on the instrumented
-seed path) and the growth exponent is bounded via a log-log fit over a K
+seed oracle) and the growth exponent is bounded via a log-log fit over a K
 ladder.
 
 Measured on the seed ladder (K = 32..256, all-repair reception, +8
@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.fountain.precode import PrecodeDecoder, PrecodeEncoder
-from repro.fountain.raptor import FountainDecoder, FountainEncoder
+from repro.fountain.raptor import FountainEncoder
 from repro.obs import observed
-from repro.perf import perf_mode
+
+from tests.reference import SeedFountainDecoder, seed_path
 
 K_LADDER = [32, 64, 128, 256]
 SYMBOL_SIZE = 8
@@ -53,12 +54,12 @@ def _precode_elem_ops(k: int) -> int:
 
 
 def _dense_elem_ops(k: int) -> int:
-    """Elimination element-ops for the dense control (seed-path gf_solve)."""
+    """Elimination element-ops for the dense control (seed-oracle gf_solve)."""
     data = _payload(k, k * SYMBOL_SIZE)
-    with perf_mode("seed"):
+    with seed_path():
         with observed("counters") as registry:
             encoder = FountainEncoder(0, data, SYMBOL_SIZE)
-            decoder = FountainDecoder(0, len(data), SYMBOL_SIZE)
+            decoder = SeedFountainDecoder(0, len(data), SYMBOL_SIZE)
             for symbol in encoder.symbols(k, k + OVERHEAD):
                 decoder.add_symbol(symbol)
             assert decoder.decode() == data

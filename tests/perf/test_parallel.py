@@ -1,4 +1,4 @@
-"""Tests for the perf package: mode switch, job resolution, parallel_map."""
+"""Tests for the perf package: job resolution, parallel_map, timing."""
 
 import os
 import time
@@ -8,16 +8,10 @@ import pytest
 from repro.errors import ConfigurationError, ParallelWorkerError
 from repro.perf import (
     JOBS_ENV_VAR,
-    OPTIMIZED_MODE,
-    SEED_MODE,
     Stopwatch,
     effective_jobs,
-    get_perf_mode,
     parallel_map,
-    perf_mode,
     read_bench_report,
-    seed_path_active,
-    set_perf_mode,
     speedup,
     throughput,
     time_call,
@@ -46,24 +40,6 @@ def _set_state(value):
 
 def _read_state(_):
     return _INIT_STATE["value"]
-
-
-class TestPerfMode:
-    def test_default_is_optimized(self):
-        assert get_perf_mode() == OPTIMIZED_MODE
-        assert not seed_path_active()
-
-    def test_context_manager_restores(self):
-        with perf_mode(SEED_MODE):
-            assert seed_path_active()
-            with perf_mode(OPTIMIZED_MODE):
-                assert not seed_path_active()
-            assert seed_path_active()
-        assert not seed_path_active()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            set_perf_mode("fast")
 
 
 class TestEffectiveJobs:

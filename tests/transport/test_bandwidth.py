@@ -1,10 +1,15 @@
-"""Tests for the bandwidth estimator."""
+"""Tests for the scalar bandwidth estimator of the seed oracle.
+
+The production :class:`repro.transport.CohortBandwidthEstimator` is held
+bit-identical to it by the session equivalence suites.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import TransportError
-from repro.transport.bandwidth import BandwidthEstimator
+
+from tests.reference import BandwidthEstimator
 
 
 class TestBandwidthEstimator:

@@ -1,17 +1,18 @@
-"""Bit-identity of the vectorized cohort path against the seed path.
+"""Bit-identity of the cohort transport against the seed oracle.
 
-The optimized transport core keeps per-receiver state in numpy cohort
-arrays and draws one batched Bernoulli sample per coding group; the seed
-path loops over users with scalar draws.  These properties pin the
-contract that — at equal seeds — both paths produce *bit-identical*
-``TransmissionResult`` and ``OutcomeStats``, across user counts, RNG
-seeds and fault mixes (including churn evict/rejoin).
+The transport core keeps per-receiver state in numpy cohort arrays and
+draws one batched Bernoulli sample per coding group; the seed oracle
+(``tests.reference``) loops over users with scalar draws.  These
+properties pin the contract that — at equal seeds — both produce
+*bit-identical* ``TransmissionResult`` and ``OutcomeStats``, across user
+counts, RNG seeds and fault mixes (including churn evict/rejoin).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from repro.beamforming import GroupBeamPlanner, SectorCodebook
 from repro.core import MulticastStreamer, SystemConfig
 from repro.faults import FaultController, FaultEvent, FaultKind, FaultSchedule
 from repro.fountain.block import FrameBlockEncoder
-from repro.perf import perf_mode
 from repro.scheduling.coding_groups import UnitAssignment
 from repro.scheduling.groups import GroupEnumerator
 from repro.transport import FrameTransmitter, LinkModel
@@ -27,6 +27,7 @@ from repro.types import BeamformingScheme
 from repro.video.jigsaw import SUBLAYER_COUNTS
 
 from tests.faults.conftest import fingerprint
+from tests.reference import seed_path
 
 RES = dict(height=144, width=256)
 
@@ -105,7 +106,7 @@ def _result_digest(result):
 
 
 class TestTransmitterEquivalence:
-    """Seed and cohort transmit paths agree bit-for-bit at equal seeds."""
+    """Seed oracle and cohort transmit agree bit-for-bit at equal seeds."""
 
     @settings(
         max_examples=8,
@@ -139,7 +140,7 @@ class TestTransmitterEquivalence:
                 np.random.default_rng(seed),
             )
 
-        with perf_mode("seed"):
+        with seed_path():
             reference = run()
         optimized = run()
         assert reference.cohort is None
@@ -147,16 +148,55 @@ class TestTransmitterEquivalence:
         assert _result_digest(optimized) == _result_digest(reference)
 
 
+    def test_precode_materialized_decoder_matches_reference(
+        self, scenario, hr_probe
+    ):
+        """A cohort's lazily materialized decoder keeps the frame's codec:
+        for precode its sublayer masks equal the per-receiver precode
+        decoders of the seed oracle."""
+        state, groups = _transmit_world(scenario, 6, seed=4)
+
+        def run():
+            transmitter = FrameTransmitter(
+                link=LinkModel(scenario.channel_model, associated_user=0)
+            )
+            encoder = FrameBlockEncoder(0, hr_probe.layered, codec="precode")
+            return transmitter.transmit(
+                encoder,
+                _assignments(encoder, groups),
+                groups,
+                state,
+                1 / 30,
+                np.random.default_rng(4),
+            )
+
+        with seed_path():
+            reference = run()
+        result = run()
+        matrices = result.cohort.decoded_matrices()
+        for user, reception in result.receptions.items():
+            decoder = reception.decoder
+            assert decoder.codec == "precode"
+            expected = [
+                m.tobytes()
+                for m in reference.receptions[user].decoder.sublayer_masks()
+            ]
+            assert [m.tobytes() for m in decoder.sublayer_masks()] == expected
+            row = result.cohort.index[user]
+            assert [m[row].tobytes() for m in matrices] == expected
+        assert _result_digest(result) == _result_digest(reference)
+
+
 class TestSessionEquivalence:
-    """End-to-end outcomes agree bit-for-bit across the path switch."""
+    """End-to-end outcomes agree bit-for-bit with the seed oracle."""
 
     def _outcomes(self, scenario, tiny_dnn, hr_probe, num_users, seed,
                   faults, frames=4, events=None):
         positions = scenario.place_arc(num_users, 3.0, 60, seed=seed)
         trace = scenario.static_trace(positions, duration_s=0.3, seed=seed + 1)
         results = []
-        for mode in ("seed", "optimized"):
-            with perf_mode(mode):
+        for path in (seed_path, nullcontext):
+            with path():
                 config = SystemConfig(**RES, faults=dict(faults))
                 streamer = MulticastStreamer(
                     config, tiny_dnn, [hr_probe], scenario.channel_model,
@@ -194,7 +234,7 @@ class TestSessionEquivalence:
         self, scenario, tiny_dnn, hr_probe
     ):
         """Deterministic leave/rejoin: cohort row eviction and re-admission
-        replay the seed path's bandwidth-history reset exactly."""
+        replay the seed oracle's bandwidth-history reset exactly."""
         events = [
             FaultEvent(FaultKind.LEAVE, 0.05, user=1),
             FaultEvent(FaultKind.JOIN, 0.15, user=1),
