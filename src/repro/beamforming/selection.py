@@ -10,7 +10,7 @@ throughput of the highest decodable MCS (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..phy.channel import ChannelState, LinkBudget
 from ..phy.mcs import McsEntry, highest_supported_mcs
 from ..types import BeamformingScheme
 from .codebook import SectorCodebook
-from .multicast import max_min_multicast_beam, per_user_gains, per_user_gains_batch
+from .multicast import TIE_RTOL, max_min_multicast_beams
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,21 @@ class GroupBeamPlanner:
             BeamformingScheme.PREDEFINED_MULTICAST,
         )
 
-    def beam_for_group(self, channels: Sequence[np.ndarray]) -> np.ndarray:
-        """Compute the scheme's transmit beam for a group of channels."""
-        if not channels:
-            raise BeamformingError("empty group")
-        if not self.allows_multiuser_groups and len(channels) > 1:
-            raise BeamformingError(
-                f"scheme {self.scheme.value} only supports singleton groups"
-            )
-        if self.scheme in (
-            BeamformingScheme.OPTIMIZED_MULTICAST,
-            BeamformingScheme.OPTIMIZED_UNICAST,
-        ):
-            return max_min_multicast_beam(self.array, channels)
-        gains = self.codebook.gains_multi(list(channels))
-        best = int(np.argmax(gains.min(axis=1)))
-        return self.codebook.beam(best)
+    @property
+    def uses_codebook(self) -> bool:
+        """Predefined schemes take their beams from the sector codebook."""
+        return self.scheme in (
+            BeamformingScheme.PREDEFINED_MULTICAST,
+            BeamformingScheme.PREDEFINED_UNICAST,
+        )
+
+    def sector_gains(
+        self, state: ChannelState, user_ids: Sequence[int]
+    ) -> np.ndarray:
+        """``(K, n_users)`` gains ``|F_k^H h_u|^2`` of every codebook beam at
+        every listed user, columns in ascending user id, in one matmul."""
+        users = sorted(set(user_ids))
+        return self.codebook.gains_multi([state.channels[u] for u in users])
 
     def plan_group(
         self, state: ChannelState, user_ids: Sequence[int]
@@ -106,53 +105,69 @@ class GroupBeamPlanner:
         ``state`` should carry the AP's *estimated* channels — the beam is
         chosen from what the AP believes, exactly as in the real system.
         """
-        users = tuple(sorted(user_ids))
-        channels = [state.channels[u] for u in users]
-        beam = self.beam_for_group(channels)
-        gains = per_user_gains(beam, channels)
+        return self.plan_groups(state, [user_ids])[0]
+
+    def plan_groups(
+        self,
+        state: ChannelState,
+        groups: Sequence[Sequence[int]],
+        sector_gains: Optional[np.ndarray] = None,
+    ) -> List[BeamPlan]:
+        """Beam plans for many candidate groups in one batch.
+
+        Optimized schemes refine every group's beam in one stacked max-min
+        ascent (:func:`max_min_multicast_beams`); a group's plan is the same
+        whether it is planned alone or among others.  Predefined schemes
+        read every group's best sector off one ``(codebook beams x users)``
+        gain matrix over the groups' users: ``sector_gains`` when the caller
+        already has it (:meth:`sector_gains` of exactly those users).
+        """
+        ordered = [tuple(sorted(g)) for g in groups]
+        if any(not users for users in ordered):
+            raise BeamformingError("empty group")
+        if not self.allows_multiuser_groups and any(len(u) > 1 for u in ordered):
+            raise BeamformingError(
+                f"scheme {self.scheme.value} only supports singleton groups"
+            )
+        if not self.uses_codebook:
+            beams, gains = max_min_multicast_beams(
+                self.array, [[state.channels[u] for u in users] for users in ordered]
+            )
+            return [self._plan(*args) for args in zip(ordered, beams, gains)]
+        all_users = sorted({u for users in ordered for u in users})
+        if sector_gains is None:
+            sector_gains = self.sector_gains(state, all_users)
+        elif sector_gains.shape[1] != len(all_users):
+            raise BeamformingError(
+                f"sector gains cover {sector_gains.shape[1]} users, "
+                f"groups have {len(all_users)}"
+            )
+        column = {u: k for k, u in enumerate(all_users)}
+        plans = []
+        for users in ordered:
+            member_gains = sector_gains[:, [column[u] for u in users]]
+            worst = member_gains.min(axis=1)
+            # First of the (near-)tied best sectors: mirrored sectors tie
+            # exactly, and last-ulp noise must not pick between them.
+            best = int(np.argmax(worst >= worst.max() * (1.0 - TIE_RTOL)))
+            plans.append(
+                self._plan(users, self.codebook.beam(best), member_gains[best])
+            )
+        return plans
+
+    def _plan(
+        self, users: Tuple[int, ...], beam: np.ndarray, gains: np.ndarray
+    ) -> BeamPlan:
+        """RSS, bottleneck MCS and rate for members' beamformed gains."""
         rss = {u: self.budget.rss_dbm(float(g)) for u, g in zip(users, gains)}
         min_rss = min(rss.values())
         mcs = highest_supported_mcs(min_rss - self.mcs_backoff_db)
-        rate = float(mcs.udp_throughput_mbps) if mcs else 0.0
         return BeamPlan(
             user_ids=users,
             beam=beam,
             per_user_rss_dbm=rss,
             min_rss_dbm=min_rss,
             mcs=mcs,
-            rate_mbps=rate,
+            rate_mbps=float(mcs.udp_throughput_mbps) if mcs else 0.0,
         )
 
-    def plan_groups(
-        self, state: ChannelState, groups: Sequence[Sequence[int]]
-    ) -> list:
-        """Beam plans for many candidate groups, gains batched.
-
-        Beam *synthesis* stays per group (the max-min ascent is iterative),
-        but gain evaluation — the planner's inner loop — collapses to one
-        stacked matmul over every (beam, member) pair via
-        :func:`per_user_gains_batch`.  Gains can differ from the scalar
-        :meth:`plan_group` path by 1-2 ulp (BLAS gemm vs ``vdot``), so this
-        entry point serves new bulk consumers (multi-AP repair planning);
-        the golden-pinned single-AP enumeration keeps the scalar path.
-        """
-        ordered = [tuple(sorted(g)) for g in groups]
-        channel_groups = [[state.channels[u] for u in users] for users in ordered]
-        beams = [self.beam_for_group(chans) for chans in channel_groups]
-        gain_groups = per_user_gains_batch(beams, channel_groups)
-        plans = []
-        for users, beam, gains in zip(ordered, beams, gain_groups):
-            rss = {u: self.budget.rss_dbm(float(g)) for u, g in zip(users, gains)}
-            min_rss = min(rss.values())
-            mcs = highest_supported_mcs(min_rss - self.mcs_backoff_db)
-            plans.append(
-                BeamPlan(
-                    user_ids=users,
-                    beam=beam,
-                    per_user_rss_dbm=rss,
-                    min_rss_dbm=min_rss,
-                    mcs=mcs,
-                    rate_mbps=float(mcs.udp_throughput_mbps) if mcs else 0.0,
-                )
-            )
-        return plans

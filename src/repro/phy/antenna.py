@@ -51,17 +51,19 @@ class PhasedArray:
         Phased arrays impose constant modulus per element plus ``phase_bits``
         phase resolution; the result is normalised to unit total power
         (``||F|| = 1``), the convention used throughout the link budget.
+        A ``(..., Nt)`` stack of weight vectors is quantised row by row.
         """
         weights = np.asarray(weights, dtype=complex)
-        if weights.shape != (self.num_elements,):
+        if weights.ndim < 1 or weights.shape[-1] != self.num_elements:
             raise BeamformingError(
-                f"weights must have shape ({self.num_elements},), got {weights.shape}"
+                f"weights must have shape (..., {self.num_elements}), "
+                f"got {weights.shape}"
             )
         levels = 2**self.phase_bits
         step = 2.0 * np.pi / levels
         phases = np.round(np.angle(weights) / step) * step
         quantised = np.exp(1j * phases)
-        return quantised / np.linalg.norm(quantised)
+        return quantised / np.linalg.norm(quantised, axis=-1, keepdims=True)
 
     def conjugate_beam(self, channel: np.ndarray) -> np.ndarray:
         """Quantised matched-filter beam ``h* / |h|`` for one receiver.

@@ -81,11 +81,17 @@ class FrameFeatureContext:
                 f"last axis must be {NUM_LAYERS}, got {amounts.shape}"
             )
         fractions = np.clip(amounts / np.asarray(self.layer_sizes, dtype=float), 0, 1)
-        static = np.concatenate(
+        tiled = np.broadcast_to(
+            self.static_features, fractions.shape[:-1] + (NUM_LAYERS + 1,)
+        )
+        return np.concatenate([fractions, tiled], axis=-1)
+
+    @property
+    def static_features(self) -> np.ndarray:
+        """Features 5-9: the cumulative per-layer SSIMs, then the blank SSIM."""
+        return np.concatenate(
             [np.asarray(self.cumulative_ssim, dtype=float), [self.blank_ssim]]
         )
-        tiled = np.broadcast_to(static, fractions.shape[:-1] + (NUM_LAYERS + 1,))
-        return np.concatenate([fractions, tiled], axis=-1)
 
 
 class ProgressiveQualityCurve:

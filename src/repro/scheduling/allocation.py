@@ -132,6 +132,7 @@ class TimeAllocationOptimizer:
         layer_sizes = np.vstack(
             [np.asarray(contexts[u].layer_sizes, dtype=float) for u in users]
         )  # (n_users, 4)
+        static = np.vstack([contexts[u].static_features for u in users])
 
         # One group never usefully sends more of a layer than the layer holds
         # (members aggregate across groups, so the surplus is pure waste):
@@ -147,7 +148,7 @@ class TimeAllocationOptimizer:
 
         step = frame_budget_s / 8.0
         for iteration in range(self.iterations):
-            grad = self._gradient(time, rates, membership, layer_sizes, users, contexts)
+            grad = self._gradient(time, rates, membership, layer_sizes, static)
             norm = float(np.max(np.abs(grad)))
             if norm <= 1e-15:
                 break
@@ -179,18 +180,12 @@ class TimeAllocationOptimizer:
         rates: np.ndarray,
         membership: np.ndarray,
         layer_sizes: np.ndarray,
-        users: List[int],
-        contexts: Dict[int, FrameFeatureContext],
+        static: np.ndarray,
     ) -> np.ndarray:
         """d objective / d T_{G,j} at the current allocation."""
         bytes_alloc = time * rates[:, None]  # (G, 4)
         user_bytes = membership.astype(float) @ bytes_alloc  # (n_users, 4)
-        features = np.vstack(
-            [
-                contexts[u].features_for_bytes(user_bytes[k])
-                for k, u in enumerate(users)
-            ]
-        )
+        features = self._features(user_bytes, layer_sizes, static)
         _, input_grad = self.quality_model.predict_with_input_grad(features)
         # Chain rule through fraction = clip(bytes / size, 0, 1).
         fractions = user_bytes / layer_sizes
@@ -201,6 +196,16 @@ class TimeAllocationOptimizer:
         grad_bytes = membership.T.astype(float) @ dq_dbytes  # (G, 4)
         return grad_bytes * rates[:, None]
 
+    @staticmethod
+    def _features(
+        user_bytes: np.ndarray, layer_sizes: np.ndarray, static: np.ndarray
+    ) -> np.ndarray:
+        """``(n_users, 9)`` DNN inputs, assembled for every user at once.
+
+        Row k is ``contexts[u].features_for_bytes(user_bytes[k])``: the
+        clipped per-layer fractions, then the static SSIM columns.
+        """
+        return np.concatenate([np.clip(user_bytes / layer_sizes, 0, 1), static], axis=1)
 
     @staticmethod
     def _project(time: np.ndarray, caps: np.ndarray, budget: float) -> np.ndarray:

@@ -105,16 +105,24 @@ class GroupEnumerator:
         users = sorted(user_ids)
         if not users:
             raise SchedulingError("need at least one user")
+        multiuser = self.planner.allows_multiuser_groups and len(users) > 1
+        # One codebook gain matrix per snapshot serves the azimuth order and
+        # the predefined schemes' sector picks; built only if one reads it.
+        sector_gains = None
+        if self.planner.uses_codebook or (
+            multiuser and len(users) > self.exhaustive_max_users
+        ):
+            sector_gains = self.planner.sector_gains(state, users)
         subsets: List[Tuple[int, ...]] = [(u,) for u in users]
-        if self.planner.allows_multiuser_groups and len(users) > 1:
-            subsets.extend(self._multiuser_subsets(state, users))
+        if multiuser:
+            subsets.extend(self._multiuser_subsets(sector_gains, users))
 
+        plans = self.planner.plan_groups(state, subsets, sector_gains)
         groups: List[CandidateGroup] = []
-        for subset in subsets:
-            plan = self.planner.plan_group(state, subset)
+        for plan in plans:
             if plan.rate_mbps <= 0.0:
                 continue
-            if len(subset) > 1 and plan.rate_mbps < self.min_rate_mbps:
+            if len(plan.user_ids) > 1 and plan.rate_mbps < self.min_rate_mbps:
                 continue
             groups.append(
                 CandidateGroup(
@@ -124,20 +132,18 @@ class GroupEnumerator:
         if not groups:
             # Degenerate snapshot (all users below every data MCS): keep the
             # least-bad singleton so upper layers can degrade gracefully.
-            best_user = max(
-                users, key=lambda u: self.planner.plan_group(state, [u]).min_rss_dbm
-            )
+            singletons = plans[: len(users)]
             groups.append(
                 CandidateGroup(
                     index=0,
-                    plan=self.planner.plan_group(state, [best_user]),
+                    plan=max(singletons, key=lambda p: p.min_rss_dbm),
                     rate_scale=self.rate_scale,
                 )
             )
         return groups
 
     def _multiuser_subsets(
-        self, state: ChannelState, users: List[int]
+        self, sector_gains: Optional[np.ndarray], users: List[int]
     ) -> List[Tuple[int, ...]]:
         cap = self.max_group_size or len(users)
         if len(users) <= self.exhaustive_max_users:
@@ -145,7 +151,8 @@ class GroupEnumerator:
             for size in range(2, min(len(users), cap) + 1):
                 subsets.extend(itertools.combinations(users, size))
             return subsets
-        ordered = self._sort_by_azimuth(state, users)
+        assert sector_gains is not None
+        ordered = self._sort_by_azimuth(sector_gains, users)
         subsets = []
         for start in range(len(ordered)):
             stop = min(len(ordered), start + cap)
@@ -153,11 +160,14 @@ class GroupEnumerator:
                 subsets.append(tuple(sorted(ordered[start:end])))
         return sorted(set(subsets), key=lambda s: (len(s), s))
 
-    def _sort_by_azimuth(self, state: ChannelState, users: List[int]) -> List[int]:
-        """Order users by the pointing angle of their best codebook sector."""
+    def _sort_by_azimuth(
+        self, sector_gains: np.ndarray, users: List[int]
+    ) -> List[int]:
+        """Order users by the pointing angle of their best codebook sector
+        (``sector_gains`` columns follow ``users``, ascending)."""
         codebook = self.planner.codebook
-        angles = {}
-        for user in users:
-            gains = codebook.gains(state.channels[user])
-            angles[user] = codebook.beam_angle_rad(int(np.argmax(gains)))
+        best = sector_gains.argmax(axis=0)
+        angles = {
+            user: codebook.beam_angle_rad(int(k)) for user, k in zip(users, best)
+        }
         return sorted(users, key=lambda u: angles[u])

@@ -118,7 +118,9 @@ class LinkModel:
           unclipped PER band.
 
         Both run once per (group, beam) per frame and are memoized by the
-        transmitter, so they are off the per-symbol hot path.
+        transmitter, so they are off the per-symbol hot path.  With
+        observability on, the same arrays feed the counters and per-user
+        gauges :meth:`delivery_probability` emits.
 
         Args:
             user_ids: Cohort members, in draw-column order.
@@ -133,22 +135,8 @@ class LinkModel:
             with ``user_ids``.
         """
         users = list(user_ids)
-        out = np.empty(len(users), dtype=np.float64)
         if not users:
-            return out
-        if OBS.mode:
-            # The scalar path emits the per-user link gauges; route through
-            # it so observability runs see identical counters.
-            offsets = (
-                np.zeros(len(users))
-                if rss_offsets_db is None
-                else np.asarray(rss_offsets_db, dtype=np.float64)
-            )
-            for i, user in enumerate(users):
-                out[i] = self.delivery_probability(
-                    user, beam, true_state, mcs, float(offsets[i])
-                )
-            return out
+            return np.empty(0, dtype=np.float64)
         missing = [u for u in users if u not in true_state.channels]
         if missing:
             raise TransportError(f"no channel for user {missing[0]}")
@@ -177,7 +165,14 @@ class LinkModel:
         if self.associated_user is not None and self.associated_user in users:
             i = users.index(self.associated_user)
             per[i] = per[i] ** (1 + max(0, self.mac_retries))
-        return 1.0 - per
+        probs = 1.0 - per
+        if OBS.mode:
+            OBS.count("link.prob_evals", len(users))
+            for user, prob, user_rss, margin in zip(users, probs, rss, margins):
+                OBS.observe("link.delivery_prob", float(prob))
+                OBS.set_gauge(f"link.user.{user}.rss_dbm", float(user_rss))
+                OBS.set_gauge(f"link.user.{user}.margin_db", float(margin))
+        return probs
 
     def delivery_probabilities(
         self,

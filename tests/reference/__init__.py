@@ -13,6 +13,11 @@ session twice and compares bit for bit::
 
 The swap patches class attributes process-wide; it is not thread-safe and
 does not reach worker processes.
+
+Two oracles sit outside the swap and are imported by their tests directly:
+the per-group max-min beam loop (:mod:`tests.reference.beamforming`) and
+the allocator's per-user DNN feature assembly
+(:mod:`tests.reference.scheduling`).
 """
 
 from __future__ import annotations
