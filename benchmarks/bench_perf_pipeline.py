@@ -55,6 +55,7 @@ from repro.fountain.block import (
     symbol_size_for,
 )
 from repro.fountain.raptor import COEFFICIENT_CACHE, FountainDecoder, FountainEncoder
+from repro.transport.cohort import FrameCohort
 from repro.perf import (
     effective_jobs,
     speedup,
@@ -70,6 +71,7 @@ from repro.video.metrics import ssim
 from repro.video.synthetic import SyntheticVideo
 
 from tests.reference import SeedFountainDecoder, seed_path
+from tests.reference.transport import scalar_decoded_matrices
 
 
 # ------------------------------------------------------------------- stages
@@ -175,6 +177,63 @@ def bench_fountain_decode(structure: LayerStructure, blocks: int) -> dict:
         "seed_msymbols_per_s": throughput(total_symbols, seed_s) / 1e6,
         "incremental_msymbols_per_s": throughput(total_symbols, incremental_s) / 1e6,
         "speedup_vs_seed": speedup(seed_s, incremental_s),
+    }
+
+
+def bench_cohort_decodability(
+    structure: LayerStructure, users: int, repeats: int
+) -> dict:
+    """Cohort decodability of one recorded lossy frame: scalar vs stacked.
+
+    Informational, not gated: the microbench behind the score-stage drop
+    in the frame-budget benchmark.  Every unit of one frame sends ``K + 3``
+    symbols to ``users`` receivers at 5% i.i.d. loss.  The scalar arm
+    (``tests/reference``) eliminates each distinct reception pattern on
+    its own; ``FrameCohort.decoded_matrices`` stacks the whole frame into
+    ``gf_rank_batch``.  Both must return identical matrices.
+    """
+    height, width = structure.height, structure.width
+    video = SyntheticVideo(
+        "bench-cohort", Richness.HIGH, height, width, num_frames=1, seed=17
+    )
+    encoder = FrameBlockEncoder(0, JigsawCodec(height, width).encode(video.frame(0)))
+    k = encoder.symbols_per_unit()
+    rng = np.random.default_rng(23)
+    member_rows = np.arange(users)
+    events = []
+    for unit in encoder.units:
+        symbols = encoder.next_symbols(unit, k + 3)
+        events.append((unit, symbols, rng.random((len(symbols), users)) >= 0.05))
+
+    def recorded() -> FrameCohort:
+        cohort = FrameCohort(range(users), encoder)
+        for unit, symbols, delivered in events:
+            cohort.record(unit, symbols, member_rows, delivered)
+        return cohort
+
+    cohort = recorded()
+    scalar, scalar_s = time_call_best(
+        lambda: scalar_decoded_matrices(cohort), repeats
+    )
+    # decoded_matrices caches its verdicts, so every timed call gets a
+    # freshly recorded cohort.
+    fresh = iter([recorded() for _ in range(repeats)])
+    stacked, stacked_s = time_call_best(
+        lambda: next(fresh).decoded_matrices(), repeats
+    )
+    identical = all(np.array_equal(a, b) for a, b in zip(scalar, stacked))
+    assert identical, "stacked cohort decodability differs from the scalar oracle"
+    return {
+        "users": users,
+        "units": len(events),
+        "k": k,
+        "decoded_fraction": float(
+            sum(int(m.sum()) for m in stacked) / (users * len(events))
+        ),
+        "scalar_ms": scalar_s * 1e3,
+        "stacked_ms": stacked_s * 1e3,
+        "speedup_vs_scalar": speedup(scalar_s, stacked_s),
+        "matrices_identical": identical,
     }
 
 
@@ -319,32 +378,36 @@ def main(argv=None) -> int:
         jig_frames, repair, blocks, ssim_repeats = 24, 2000, 200, 60
     structure = LayerStructure(height=height, width=width)
 
-    print(f"[1/11] jigsaw encode ({height}x{width}, {jig_frames} frames)")
+    print(f"[1/12] jigsaw encode ({height}x{width}, {jig_frames} frames)")
     jigsaw = bench_jigsaw_encode(height, width, jig_frames, jobs)
-    print(f"[2/11] fountain encode ({repair} repair symbols)")
+    print(f"[2/12] fountain encode ({repair} repair symbols)")
     fountain_encode = bench_fountain_encode(structure, repair)
-    print(f"[3/11] precode encode + decode scaling ({repair} repair "
+    print(f"[3/12] precode encode + decode scaling ({repair} repair "
           f"symbols, K sweep 32..256)")
     precode = bench_precode(
         structure, repair, fountain_encode["batched_warm_msymbols_per_s"]
     )
-    print(f"[4/11] fountain decode ({blocks} blocks)")
+    print(f"[4/12] fountain decode ({blocks} blocks)")
     fountain_decode = bench_fountain_decode(structure, blocks)
-    print(f"[5/11] ssim ({ssim_repeats} frames)")
+    print("[5/12] cohort decodability (one lossy frame, 16 users)")
+    cohort_decodability = bench_cohort_decodability(
+        structure, users=16, repeats=3 if args.quick else 5
+    )
+    print(f"[6/12] ssim ({ssim_repeats} frames)")
     ssim_stage = bench_ssim(height, width, ssim_repeats)
-    print("[6/11] decoded-frame byte identity (seed vs optimized codec)")
+    print("[7/12] decoded-frame byte identity (seed vs optimized codec)")
     frames_identical = check_decoded_frames_identical(structure)
-    print(f"[7/11] emulation ({runs}-run scheduler comparison, jobs={jobs})")
+    print(f"[8/12] emulation ({runs}-run scheduler comparison, jobs={jobs})")
     emulation = bench_emulation(args.quick, runs, frames, users=4, jobs=jobs)
     emulation["decoded_frames_identical"] = frames_identical
     scale_counts = USER_COUNTS_QUICK if args.quick else USER_COUNTS_FULL
-    print(f"[8/11] emulation scale (cohort sweep to {scale_counts[-1]} users)")
+    print(f"[9/12] emulation scale (cohort sweep to {scale_counts[-1]} users)")
     emulation_scale = bench_emulation_scale(
         _context(args.quick), scale_counts, frames
     )
     sweep_runs = 8 if args.quick else 12
     sweep_frames = 2 if args.quick else 3
-    print(f"[9/11] sharded sweep ({sweep_runs} runs on persistent pool, "
+    print(f"[10/12] sharded sweep ({sweep_runs} runs on persistent pool, "
           f"jobs={min(jobs, 2)})")
     sweep_shard = bench_sweep_shard(
         _context(args.quick), sweep_runs, sweep_frames,
@@ -353,7 +416,7 @@ def main(argv=None) -> int:
     svc_sessions = 4 if args.quick else 8
     svc_receivers = 52 if args.quick else 104
     svc_churn = 40 if args.quick else 80
-    print(f"[10/11] service load ({svc_receivers} receivers across "
+    print(f"[11/12] service load ({svc_receivers} receivers across "
           f"{svc_sessions} sessions)")
     service_load = bench_service_load(
         _context(args.quick), svc_sessions, svc_receivers, svc_churn,
@@ -361,7 +424,7 @@ def main(argv=None) -> int:
     ap_runs = 2 if args.quick else 3
     ap_frames = 6 if args.quick else 9
     ap_depths = (0.0, 25.0) if args.quick else (0.0, 10.0, 25.0)
-    print(f"[11/11] multi-AP failover (1 vs 2 APs, {ap_runs} runs, "
+    print(f"[12/12] multi-AP failover (1 vs 2 APs, {ap_runs} runs, "
           f"depths {ap_depths} dB)")
     multi_ap = bench_multi_ap(
         _context(args.quick), ap_depths, runs=ap_runs, frames=ap_frames,
@@ -383,6 +446,7 @@ def main(argv=None) -> int:
             "fountain_encode": fountain_encode,
             "precode": precode,
             "fountain_decode": fountain_decode,
+            "cohort_decodability": cohort_decodability,
             "ssim": ssim_stage,
             "emulation": emulation,
             "emulation_scale": emulation_scale,
@@ -431,6 +495,10 @@ def main(argv=None) -> int:
     print(f"fountain decode      : {fountain_decode['seed_msymbols_per_s']:8.4f} -> "
           f"{fountain_decode['incremental_msymbols_per_s']:.4f} Msym/s "
           f"(x{fountain_decode['speedup_vs_seed']:.1f})")
+    print(f"cohort decodability  : {cohort_decodability['scalar_ms']:8.2f} -> "
+          f"{cohort_decodability['stacked_ms']:.2f} ms/frame "
+          f"(x{cohort_decodability['speedup_vs_scalar']:.1f}, identical: "
+          f"{cohort_decodability['matrices_identical']})")
     print(f"ssim                 : {ssim_stage['frames_per_s_float64']:8.1f} -> "
           f"{ssim_stage['frames_per_s_float32']:.1f} frames/s "
           f"(x{ssim_stage['speedup_vs_float64']:.2f}, "

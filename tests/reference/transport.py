@@ -6,17 +6,23 @@ per coding group.  This is the original per-receiver loop it must match bit
 for bit at equal seeds: one :class:`FrameBlockDecoder` per receiver, the
 delivery probability recomputed for every plan entry, and a walk over the
 group's members for every packet.
+
+:func:`scalar_decoded_matrices` is the cohort's decodability check as it
+was before the stacked rank kernel: one scalar elimination per distinct
+reception pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import TransportError
 from repro.fountain.block import CodingUnitId, FrameBlockDecoder
+from repro.fountain.raptor import COEFFICIENT_CACHE
+from repro.transport.cohort import FrameCohort
 from repro.transport.kernel_queue import KernelQueue
 from repro.transport.transmitter import (
     FEEDBACK_LATENCY_S,
@@ -24,6 +30,35 @@ from repro.transport.transmitter import (
     HEADER_BYTES,
     _TxState,
 )
+from repro.video.jigsaw import SUBLAYER_COUNTS
+
+from .fountain import gf_rank
+
+
+def scalar_decoded_matrices(cohort: FrameCohort) -> List[np.ndarray]:
+    """Dense-codec ``FrameCohort.decoded_matrices``, one pattern at a time."""
+    n = len(cohort.users)
+    matrices = [np.zeros((n, count), dtype=bool) for count in SUBLAYER_COUNTS]
+    for unit, state in cohort._units.items():
+        k = state.k
+        decoded = state.sys_mask.all(axis=0)
+        candidates = np.nonzero(~decoded & (state.distinct >= k))[0]
+        if state.repair_rows and candidates.size:
+            coeffs = np.stack(
+                [COEFFICIENT_CACHE.row(state.block_id, k, sid) for sid in state.repair_ids]
+            )
+            patterns = np.concatenate(
+                [state.sys_mask[:, candidates], np.stack(state.repair_rows)[:, candidates]]
+            ).T
+            unique, inverse = np.unique(patterns, axis=0, return_inverse=True)
+            verdicts = np.zeros(unique.shape[0], dtype=bool)
+            for p, pattern in enumerate(unique):
+                have_sys, have_rep = pattern[:k], pattern[k:]
+                need = k - int(have_sys.sum())
+                verdicts[p] = gf_rank(coeffs[have_rep][:, ~have_sys]) >= need
+            decoded[candidates] = verdicts[inverse.reshape(-1)]
+        matrices[unit.layer][:, unit.sublayer] = decoded
+    return matrices
 
 
 @dataclass
